@@ -12,13 +12,14 @@
 //
 // Intra-instance parallelism: cells run one at a time (a single batch
 // worker), and --threads sets the *solver pool* width instead — the
-// parallel TreeBuilder::Build and the level-synchronous Multiple-NoD DP
-// spread one instance across that many threads. --thread-sweep "1,2,4,8"
-// repeats the whole kernel grid per width and emits per-kernel speedup
-// columns (vs the first width) into the JSON's "thread_sweep" section.
+// level-synchronous Multiple-NoD DP, the one parallel kernel, spreads one
+// instance across that many threads; every other kernel is serial and
+// should not move with the width. --thread-sweep "1,2,4,8" repeats the
+// whole kernel grid per width and emits per-kernel speedup columns (vs the
+// first width) into the JSON's "thread_sweep" section.
 //
 // Kernels (the N=1048576 "million-node" tier is the same workload at
-// --big-clients; tree-build there is the headline parallel kernel):
+// --big-clients):
 //   tree-build         TreeBuilder::Build on a rebuilt copy of the instance
 //                      tree (--build-reps builds per cell; timing/metric
 //                      only, so no feasibility/cost columns)
@@ -235,8 +236,8 @@ int main(int argc, char** argv) {
                      {{"dp_table_mib", DpTableMiB}}});
   kernels.push_back({"flow-oracle", flow_clients, SolveFlowOracle, {}});
   if (big_clients != 0) {
-    // Million-node tier: the parallel-build headline plus two full solvers
-    // proving million-node instances run end-to-end. The DP stays at
+    // Million-node tier: the tree build plus two full solvers proving
+    // million-node instances run end-to-end. The DP stays at
     // --dp-clients — its stored tables are demand-bounded but still grow
     // with total requests times depth, far past a sensible bench footprint
     // at a million clients.

@@ -4,8 +4,8 @@
 //
 // Driven by the runner::BatchRunner batch engine (replacing the earlier
 // google-benchmark harness): the sweep is a grid of
-// (algorithm × tree size × seed) cells executed work-stealing across
-// --threads workers. Cost/feasibility aggregates are deterministic and
+// (algorithm × tree size × seed) cells executed across --threads
+// workers. Cost/feasibility aggregates are deterministic and
 // thread-count independent — `--json` output is bit-identical for
 // --threads=1 and --threads=$(nproc) — while wall-time statistics go to
 // stdout and the optional --csv.

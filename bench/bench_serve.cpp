@@ -232,10 +232,13 @@ int main(int argc, char** argv) {
   RPT_REQUIRE(capacity > 0 && ticks > 0 && repeats > 0 && touches > 0,
               "bench_serve: --capacity/--ticks/--repeats/--touches must be > 0");
 
-  // --threads is the QUERY thread count of the concurrent phase; the
-  // deterministic cells always run one batch worker and a width-1 solver
-  // pool so the det-json is thread-count invariant by construction.
-  const std::size_t query_threads = std::max<std::size_t>(1, flags.threads);
+  // --threads is the QUERY thread count of the concurrent phase (0 =
+  // hardware concurrency, like every --threads); the deterministic cells
+  // always run one batch worker and a width-1 solver pool so the det-json is
+  // thread-count invariant by construction.
+  const std::size_t query_threads =
+      flags.threads != 0 ? flags.threads
+                         : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   SetSolverThreads(1);
 
   const auto make_instance = [clients, capacity](std::uint64_t seed) {

@@ -1,11 +1,10 @@
 #include "runner/batch_runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <fstream>
-#include <mutex>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -399,67 +398,27 @@ BatchReport BatchRunner::Run() {
             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
     threads = std::min(threads, cell_count);
 
-    // Work-stealing scheduler: each worker owns a deque of cell indices
-    // (round-robin distributed), pops from its own front, and when dry
-    // steals from the back of the first non-empty victim found by a
-    // round-robin scan. All work exists before the
-    // workers start and cells never spawn cells, so a worker may exit once
-    // its own deque and one full scan of the victims come up empty.
-    struct WorkerQueue {
-      std::mutex mutex;
-      std::deque<std::size_t> items;
-    };
-    std::vector<WorkerQueue> queues(threads);
-    for (std::size_t i = 0; i < cell_count; ++i) {
-      queues[i % threads].items.push_back(i);
-    }
-
-    auto worker_body = [&](std::size_t self) {
-      for (;;) {
-        std::size_t index = 0;
-        bool found = false;
-        {
-          std::scoped_lock lock(queues[self].mutex);
-          if (!queues[self].items.empty()) {
-            index = queues[self].items.front();
-            queues[self].items.pop_front();
-            found = true;
-          }
-        }
-        if (!found) {
-          for (std::size_t offset = 1; offset < threads && !found; ++offset) {
-            WorkerQueue& victim = queues[(self + offset) % threads];
-            std::scoped_lock lock(victim.mutex);
-            if (!victim.items.empty()) {
-              index = victim.items.back();
-              victim.items.pop_back();
-              found = true;
-            }
-          }
-        }
-        if (!found) return;
-        ExecuteCell(index);
-      }
-    };
-
     if (threads == 1) {
       // Inline on the caller: cells may still use intra-solver parallelism
       // (this is how bench_hotpath measures one instance saturating the
       // solver pool).
-      worker_body(0);
+      for (std::size_t index = 0; index < cell_count; ++index) ExecuteCell(index);
     } else {
-      // Spawned workers mark themselves as engine workers so solvers inside
-      // cells run their fork-join loops inline — the batch workers already
-      // saturate the cores, and nesting onto the shared solver pool would
-      // only oversubscribe it.
-      std::vector<std::jthread> workers;
-      workers.reserve(threads);
+      // Each worker claims the next cell from one shared cursor, last cell
+      // first: sweeps add cells in ascending size, so the largest start
+      // first and the small ones even out the tail. ThreadPool marks its
+      // workers, so a solver inside a cell runs its fork-join loops inline
+      // instead of oversubscribing cores the batch already keeps busy.
+      std::atomic<std::size_t> claimed{0};
+      ThreadPool pool(threads);
       for (std::size_t w = 0; w < threads; ++w) {
-        workers.emplace_back([&worker_body, w] {
-          const ThreadPool::ScopedWorkerMark mark;
-          worker_body(w);
+        pool.Submit([this, &claimed, cell_count] {
+          for (std::size_t k = claimed++; k < cell_count; k = claimed++) {
+            ExecuteCell(cell_count - 1 - k);
+          }
         });
       }
+      pool.Wait();
     }
   }
 

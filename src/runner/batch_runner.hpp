@@ -3,7 +3,7 @@
 //
 // Every sweep-style experiment in bench/ and examples/ is a grid of
 // independent solver invocations; BatchRunner is the shared engine that
-// executes such a grid with work stealing and produces a deterministic
+// executes such a grid on a ThreadPool and produces a deterministic
 // report. Determinism contract: the aggregate report (costs, feasibility,
 // error counts, metric and ratio statistics — everything except wall-clock
 // timing) is bit-identical regardless of thread count, because per-cell
@@ -24,10 +24,12 @@
 //    tightness/gap/optimality benches need: "algorithm A vs algorithm B on
 //    the same tree", not just two independent sweeps.
 //
-// Ownership: the runner owns its cells and results; Run() owns the worker
-// threads for its duration (spawned per call, joined before it returns,
-// marked with ThreadPool::ScopedWorkerMark so intra-solver parallelism
-// inside cells degrades to inline instead of oversubscribing). Generators,
+// Ownership: the runner owns its cells and results; Run() owns a ThreadPool
+// for its duration (created per call, joined before it returns). Every
+// cell exists before the run and none spawns another, so its workers just
+// claim cell indices from one shared atomic cursor, last cell first. Pool
+// workers are marked as such, so intra-solver parallelism inside cells
+// degrades to inline instead of oversubscribing. Generators,
 // solvers, and metric hooks are std::functions owned by the cell — anything
 // they capture by reference must outlive Run().
 //
@@ -219,7 +221,7 @@ struct BatchOptions {
   std::size_t threads = 0;
 };
 
-/// Collects cells, runs them on a work-stealing thread pool, aggregates.
+/// Collects cells, runs them on a thread pool, aggregates.
 class BatchRunner {
  public:
   explicit BatchRunner(BatchOptions options = {});
@@ -249,8 +251,9 @@ class BatchRunner {
 
   [[nodiscard]] std::size_t CellCount() const noexcept { return cells_.size(); }
 
-  /// Executes all cells (work-stealing across the configured threads) and
-  /// returns the aggregate report. May be called once per runner.
+  /// Executes all cells (on the configured number of threads; one runs them
+  /// inline on the caller) and returns the aggregate report. May be called
+  /// once per runner.
   [[nodiscard]] BatchReport Run();
 
   /// Per-cell outcomes in submission order; valid after Run().

@@ -331,9 +331,10 @@ bool ReplPrimary::Apply(std::span<const incremental::UpdateEvent> events) {
   // batch still consumed a seq and must still ship — followers re-reject
   // it deterministically; swallowing it here would desync every stream.
   std::exception_ptr rejected;
-  bool feasible = false;
   try {
-    feasible = harness_.ApplyAndPublish(events);
+    // The batch's feasibility is the harness's to publish; Apply reports
+    // the ack status only.
+    harness_.ApplyAndPublish(events);
   } catch (const InvalidArgument&) {
     rejected = std::current_exception();
   }

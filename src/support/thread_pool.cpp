@@ -18,12 +18,6 @@ thread_local bool t_in_pool_worker = false;
 
 bool ThreadPool::InWorker() noexcept { return t_in_pool_worker; }
 
-ThreadPool::ScopedWorkerMark::ScopedWorkerMark() noexcept : previous_(t_in_pool_worker) {
-  t_in_pool_worker = true;
-}
-
-ThreadPool::ScopedWorkerMark::~ScopedWorkerMark() { t_in_pool_worker = previous_; }
-
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   workers_.reserve(threads);
@@ -62,7 +56,7 @@ void ThreadPool::Wait() {
 }
 
 void ThreadPool::WorkerLoop() {
-  const ScopedWorkerMark mark;
+  t_in_pool_worker = true;
   while (true) {
     std::function<void()> task;
     {

@@ -1,8 +1,9 @@
 // Minimal work-stealing-free thread pool with chunked fork-join helpers.
 //
-// Used by the benchmark harness, the property-test sweeps, and — via the
-// process-wide solver pool — by the intra-instance parallel kernels (the CSR
-// tree build and the level-synchronous Multiple-NoD DP). Follows the Core
+// The one pool class of the library. BatchRunner runs its cells on a
+// ThreadPool of its own, and the process-wide solver pool (SolverPool())
+// serves the one intra-instance parallel kernel, the level-synchronous
+// Multiple-NoD DP (TreeBuilder::Build is serial). Follows the Core
 // Guidelines concurrency rules: RAII-joined threads (CP.23/CP.25), no
 // detached threads, data shared between tasks is owned by the caller and
 // partitioned by index range so tasks never write to the same element
@@ -68,26 +69,11 @@ class ThreadPool {
   /// Number of worker threads.
   [[nodiscard]] std::size_t ThreadCount() const noexcept { return workers_.size(); }
 
-  /// True iff the calling thread is marked as a worker of some parallel
-  /// engine (a ThreadPool worker, or any thread holding a ScopedWorkerMark).
-  /// Fork-join helpers use this to degrade to inline execution instead of
-  /// deadlocking on a bounded pool or oversubscribing already-busy cores.
+  /// True iff the calling thread is a worker of some ThreadPool (a
+  /// BatchRunner cell or a solver-pool chunk). Fork-join helpers use this to
+  /// degrade to inline execution instead of deadlocking on a bounded pool or
+  /// oversubscribing already-busy cores.
   [[nodiscard]] static bool InWorker() noexcept;
-
-  /// RAII marker declaring the current thread a worker of a parallel engine
-  /// for its lifetime. Engines that spawn raw threads (e.g. BatchRunner's
-  /// work-stealing workers) install one so intra-solver parallelism inside
-  /// their tasks runs inline — the cores are already saturated by tasks.
-  class ScopedWorkerMark {
-   public:
-    ScopedWorkerMark() noexcept;
-    ~ScopedWorkerMark();
-    ScopedWorkerMark(const ScopedWorkerMark&) = delete;
-    ScopedWorkerMark& operator=(const ScopedWorkerMark&) = delete;
-
-   private:
-    bool previous_;
-  };
 
  private:
   void WorkerLoop();
@@ -188,8 +174,8 @@ inline void ParallelFor(ThreadPool& pool, std::size_t count,
   });
 }
 
-/// The process-wide pool for intra-solver parallelism (parallel tree build,
-/// level-synchronous DP). Lazily created on first call with the width set by
+/// The process-wide pool for intra-solver parallelism (the level-synchronous
+/// Multiple-NoD DP). Lazily created on first call with the width set by
 /// SetSolverThreads. Returns nullptr when intra-solver parallelism is off
 /// (width 1) — callers pass the result straight to ParallelForChunked, which
 /// then runs inline. Solvers never own threads: they all share this pool, and

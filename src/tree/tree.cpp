@@ -1,44 +1,8 @@
 #include "tree/tree.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
-
-#include "support/thread_pool.hpp"
 
 namespace rpt {
-
-namespace {
-
-// Below this node count the serial derive pass wins: the parallel sweeps add
-// one fork-join per level plus atomic histogram traffic, which only pays off
-// once the per-level ranges are tens of thousands of nodes wide.
-constexpr std::size_t kParallelBuildMinNodes = std::size_t{1} << 15;
-
-// Minimum indices per chunk for the flat per-node sweeps.
-constexpr std::size_t kBuildGrain = 4096;
-
-// Fixed chunk boundaries for two-pass reductions (chunk-local partials, then
-// a serial scan over the per-chunk values, then a second pass with the same
-// boundaries). Boundaries depend only on (count, threads), so both passes
-// and the serial fold see the same deterministic partition.
-struct Chunking {
-  std::size_t count = 0;
-  std::size_t chunk = 1;
-  std::size_t chunks = 0;
-
-  Chunking(std::size_t count_, std::size_t threads) : count(count_) {
-    chunk = std::max(kBuildGrain, (count + 2 * threads - 1) / std::max<std::size_t>(1, 2 * threads));
-    chunks = count == 0 ? 0 : (count + chunk - 1) / chunk;
-  }
-
-  [[nodiscard]] std::size_t Begin(std::size_t c) const noexcept { return c * chunk; }
-  [[nodiscard]] std::size_t End(std::size_t c) const noexcept {
-    return std::min(count, (c + 1) * chunk);
-  }
-};
-
-}  // namespace
 
 void TreeBuilder::Reserve(std::size_t node_count) {
   kind_.reserve(node_count);
@@ -89,12 +53,7 @@ Tree TreeBuilder::Build() {
   tree.delta_ = std::move(delta_);
   tree.requests_ = std::move(requests_);
 
-  ThreadPool* pool = SolverPool();
-  if (pool != nullptr && n >= kParallelBuildMinNodes && !ThreadPool::InWorker()) {
-    DeriveParallel(tree, n, client_count_, *pool);
-  } else {
-    DeriveSerial(tree, n, client_count_);
-  }
+  DeriveSerial(tree, n, client_count_);
   client_count_ = 0;
   return tree;
 }
@@ -190,250 +149,6 @@ void TreeBuilder::DeriveSerial(Tree& tree, std::size_t n, std::size_t client_cou
     tree.post_order_[(tree.Tout(static_cast<NodeId>(id)) - tree.depth_[id] - 1) / 2] =
         static_cast<NodeId>(id);
   }
-}
-
-// Parallel derive: the same columns as DeriveSerial, produced by
-// level-synchronous sweeps so every output is byte-identical to the serial
-// build regardless of thread count.
-//
-//  * Counting-sort histogram and CSR fill run over id chunks with relaxed
-//    atomic counters; the fill's scatter order is nondeterministic, so each
-//    parent's children span is sorted ascending afterwards — per-parent
-//    insertion order IS ascending id order, restoring the serial layout.
-//  * Levels come from a BFS frontier over the CSR arrays (per-chunk child
-//    counts + a serial scan give each frontier node its deterministic write
-//    offset); depth and root distance fall out of the same sweep.
-//  * Subtree aggregates are a reverse level sweep, Euler tins a forward
-//    level sweep (each node serially clocks its own children), and the
-//    post-order/client/arity columns are plain chunked scatters/reductions
-//    with chunk-local partials folded serially in chunk order.
-void TreeBuilder::DeriveParallel(Tree& tree, std::size_t n, std::size_t client_count,
-                                 ThreadPool& pool) {
-  const std::size_t threads = pool.ThreadCount();
-
-  // --- CSR histogram: per-parent child counts (relaxed atomics; exact sums
-  // are order-independent).
-  std::unique_ptr<std::atomic<std::uint32_t>[]> counts(new std::atomic<std::uint32_t>[n]);
-  ParallelForChunked(&pool, n, kBuildGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t id = begin; id < end; ++id) counts[id].store(0, std::memory_order_relaxed);
-  });
-  ParallelForChunked(&pool, n - 1, kBuildGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      counts[tree.parent_[i + 1]].fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-
-  // --- CSR offsets: blocked exclusive scan (chunk sums, serial scan over
-  // the per-chunk sums, chunk-local rescan). The rescan also runs the
-  // structural validation and converts `counts` in place into the fill
-  // cursors, saving two full passes.
-  tree.children_begin_.resize(n + 1);
-  const Chunking ids(n, threads);
-  std::vector<std::uint64_t> chunk_sums(ids.chunks, 0);
-  ParallelForChunked(&pool, ids.chunks, 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t c = begin; c < end; ++c) {
-      std::uint64_t sum = 0;
-      for (std::size_t id = ids.Begin(c); id < ids.End(c); ++id) {
-        sum += counts[id].load(std::memory_order_relaxed);
-      }
-      chunk_sums[c] = sum;
-    }
-  });
-  std::uint64_t running = 0;
-  for (std::size_t c = 0; c < ids.chunks; ++c) {
-    const std::uint64_t sum = chunk_sums[c];
-    chunk_sums[c] = running;
-    running += sum;
-  }
-  RPT_CHECK(running == n - 1);
-  tree.children_begin_[n] = static_cast<std::uint32_t>(n - 1);
-  ParallelForChunked(&pool, ids.chunks, 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t c = begin; c < end; ++c) {
-      auto offset = static_cast<std::uint32_t>(chunk_sums[c]);
-      for (std::size_t id = ids.Begin(c); id < ids.End(c); ++id) {
-        const std::uint32_t count = counts[id].load(std::memory_order_relaxed);
-        RPT_REQUIRE(count != 0 || id == 0 || tree.kind_[id] != NodeKind::kInternal,
-                    "TreeBuilder: non-root internal node without children");
-        tree.children_begin_[id] = offset;
-        counts[id].store(offset, std::memory_order_relaxed);  // becomes the fill cursor
-        offset += count;
-      }
-    }
-  });
-
-  // --- CSR fill: atomic per-parent cursors (the repurposed `counts`), then
-  // a per-parent sort to restore the deterministic (ascending-id) order.
-  std::atomic<std::uint32_t>* const cursor = counts.get();
-  tree.children_flat_.resize(n - 1);
-  ParallelForChunked(&pool, n - 1, kBuildGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::size_t id = i + 1;
-      const std::uint32_t slot =
-          cursor[tree.parent_[id]].fetch_add(1, std::memory_order_relaxed);
-      tree.children_flat_[slot] = static_cast<NodeId>(id);
-    }
-  });
-  ParallelForChunked(&pool, n, kBuildGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t id = begin; id < end; ++id) {
-      std::sort(tree.children_flat_.begin() + tree.children_begin_[id],
-                tree.children_flat_.begin() + tree.children_begin_[id + 1]);
-    }
-  });
-
-  // --- Levels by BFS over the CSR arrays; depth and root distance ride on
-  // the frontier expansion.
-  tree.depth_.resize(n);
-  tree.dist_root_.resize(n);
-  tree.depth_[0] = 0;
-  tree.dist_root_[0] = 0;
-  std::vector<NodeId> level_order(n);
-  level_order[0] = 0;
-  std::vector<std::uint32_t> level_begin{0, 1};
-  while (true) {
-    const std::size_t frontier_begin = level_begin[level_begin.size() - 2];
-    const std::size_t frontier_end = level_begin.back();
-    const std::size_t frontier = frontier_end - frontier_begin;
-    const auto level = static_cast<std::uint32_t>(level_begin.size() - 1);
-
-    const Chunking fc(frontier, threads);
-    std::vector<std::uint64_t> offsets(fc.chunks, 0);
-    ParallelForChunked(&pool, fc.chunks, 1, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t c = begin; c < end; ++c) {
-        std::uint64_t sum = 0;
-        for (std::size_t slot = fc.Begin(c); slot < fc.End(c); ++slot) {
-          const NodeId id = level_order[frontier_begin + slot];
-          sum += tree.children_begin_[id + 1] - tree.children_begin_[id];
-        }
-        offsets[c] = sum;
-      }
-    });
-    std::uint64_t next_total = 0;
-    for (std::size_t c = 0; c < fc.chunks; ++c) {
-      const std::uint64_t sum = offsets[c];
-      offsets[c] = next_total;
-      next_total += sum;
-    }
-    if (next_total == 0) break;
-
-    ParallelForChunked(&pool, fc.chunks, 1, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t c = begin; c < end; ++c) {
-        std::size_t write = frontier_end + offsets[c];
-        for (std::size_t slot = fc.Begin(c); slot < fc.End(c); ++slot) {
-          const NodeId id = level_order[frontier_begin + slot];
-          for (std::uint32_t s = tree.children_begin_[id]; s < tree.children_begin_[id + 1];
-               ++s) {
-            const NodeId child = tree.children_flat_[s];
-            level_order[write++] = child;
-            tree.depth_[child] = level;
-            tree.dist_root_[child] = tree.dist_root_[id] + tree.delta_[child];
-            RPT_REQUIRE(tree.dist_root_[child] < kNoDistanceLimit / 2,
-                        "TreeBuilder: root distance overflow");
-          }
-        }
-      }
-    });
-    level_begin.push_back(static_cast<std::uint32_t>(frontier_end + next_total));
-  }
-  RPT_CHECK(level_begin.back() == n);
-
-  // --- Subtree aggregates: reverse level sweep (each node folds its own
-  // children, which the previous — deeper — level completed).
-  tree.subtree_requests_.resize(n);
-  tree.subtree_size_.resize(n);
-  for (std::size_t lvl = level_begin.size() - 1; lvl-- > 0;) {
-    const std::size_t lb = level_begin[lvl];
-    const std::size_t le = level_begin[lvl + 1];
-    ParallelForChunked(&pool, le - lb, kBuildGrain, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t slot = lb + begin; slot < lb + end; ++slot) {
-        const NodeId id = level_order[slot];
-        Requests req = tree.kind_[id] == NodeKind::kClient ? tree.requests_[id] : 0;
-        std::uint32_t size = 1;
-        for (std::uint32_t s = tree.children_begin_[id]; s < tree.children_begin_[id + 1];
-             ++s) {
-          const NodeId child = tree.children_flat_[s];
-          req += tree.subtree_requests_[child];
-          size += tree.subtree_size_[child];
-        }
-        tree.subtree_requests_[id] = req;
-        tree.subtree_size_[id] = size;
-      }
-    });
-  }
-
-  // --- Euler tins: forward level sweep; each node serially clocks its own
-  // children (tout = tin + 2*subtree_size - 1 is derived, not stored).
-  tree.tin_.resize(n);
-  tree.tin_[0] = 0;
-  for (std::size_t lvl = 0; lvl + 1 < level_begin.size(); ++lvl) {
-    const std::size_t lb = level_begin[lvl];
-    const std::size_t le = level_begin[lvl + 1];
-    ParallelForChunked(&pool, le - lb, kBuildGrain, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t slot = lb + begin; slot < lb + end; ++slot) {
-        const NodeId id = level_order[slot];
-        std::uint32_t clock = tree.tin_[id] + 1;
-        for (std::uint32_t s = tree.children_begin_[id]; s < tree.children_begin_[id + 1];
-             ++s) {
-          const NodeId child = tree.children_flat_[s];
-          tree.tin_[child] = clock;
-          clock += 2 * tree.subtree_size_[child];
-        }
-      }
-    });
-  }
-
-  // --- Post-order scatter (see DeriveSerial for the clock identity).
-  tree.post_order_.resize(n);
-  ParallelForChunked(&pool, n, kBuildGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t id = begin; id < end; ++id) {
-      tree.post_order_[(tree.Tout(static_cast<NodeId>(id)) - tree.depth_[id] - 1) / 2] =
-          static_cast<NodeId>(id);
-    }
-  });
-
-  // --- Clients (id order), total requests, arity: chunk-local partials
-  // folded serially in chunk order.
-  struct ChunkAgg {
-    std::uint64_t clients = 0;
-    Requests requests = 0;
-    std::uint32_t arity = 0;
-  };
-  std::vector<ChunkAgg> aggs(ids.chunks);
-  ParallelForChunked(&pool, ids.chunks, 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t c = begin; c < end; ++c) {
-      ChunkAgg agg;
-      for (std::size_t id = ids.Begin(c); id < ids.End(c); ++id) {
-        agg.arity =
-            std::max(agg.arity, tree.children_begin_[id + 1] - tree.children_begin_[id]);
-        if (tree.kind_[id] == NodeKind::kClient) {
-          ++agg.clients;
-          agg.requests += tree.requests_[id];
-        }
-      }
-      aggs[c] = agg;
-    }
-  });
-  tree.arity_ = 0;
-  tree.total_requests_ = 0;
-  std::vector<std::uint64_t> client_offsets(ids.chunks, 0);
-  std::uint64_t client_cursor = 0;
-  for (std::size_t c = 0; c < ids.chunks; ++c) {
-    client_offsets[c] = client_cursor;
-    client_cursor += aggs[c].clients;
-    tree.arity_ = std::max(tree.arity_, aggs[c].arity);
-    tree.total_requests_ += aggs[c].requests;
-  }
-  RPT_CHECK(client_cursor == client_count);
-  tree.clients_.resize(client_count);
-  ParallelForChunked(&pool, ids.chunks, 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t c = begin; c < end; ++c) {
-      std::size_t write = client_offsets[c];
-      for (std::size_t id = ids.Begin(c); id < ids.End(c); ++id) {
-        if (tree.kind_[id] == NodeKind::kClient) {
-          tree.clients_[write++] = static_cast<NodeId>(id);
-        }
-      }
-    }
-  });
 }
 
 Tree Tree::WithRequests(std::span<const Requests> requests) const {

@@ -21,8 +21,6 @@
 
 namespace rpt {
 
-class ThreadPool;
-
 /// Dense node identifier; index into the tree arena. Root is always 0.
 using NodeId = std::uint32_t;
 
@@ -199,10 +197,9 @@ struct SubtreeSlice {
 /// internal nodes have at least one child) and freezes the tree. The builder
 /// itself stores only flat per-node columns; the CSR children arrays are
 /// materialized in Build() by a counting pass over the parent column, so no
-/// per-node child vectors are ever allocated. On large trees Build() runs
-/// the counting sort, CSR fill, and every derived pass as level-synchronous
-/// parallel sweeps on the process-wide solver pool (SolverPool()); the
-/// resulting tree is byte-identical to the serial build at any thread count.
+/// per-node child vectors are ever allocated. Build() is single-threaded
+/// and never touches the solver pool, so the tree is the same at any
+/// SetSolverThreads width.
 class TreeBuilder {
  public:
   TreeBuilder() = default;
@@ -231,12 +228,11 @@ class TreeBuilder {
   NodeId AddNode(NodeId parent, Distance delta, NodeKind kind, Requests requests);
 
   /// Materializes the CSR children arrays and every derived column from the
-  /// flat per-node inputs already moved into `tree`. The serial form is the
-  /// reference; the parallel form is a level-synchronous sweep over the BFS
-  /// frontier on the solver pool and produces byte-identical columns.
+  /// flat per-node inputs already moved into `tree`, in a few flat passes
+  /// over the id range. Serial on purpose: a level-synchronous parallel form
+  /// lost to it at every tree size and pool width measured (README,
+  /// "Intra-instance parallelism").
   static void DeriveSerial(Tree& tree, std::size_t n, std::size_t client_count);
-  static void DeriveParallel(Tree& tree, std::size_t n, std::size_t client_count,
-                             ThreadPool& pool);
 
   std::vector<NodeKind> kind_;
   std::vector<NodeId> parent_;

@@ -1,21 +1,25 @@
 // Tests for the runner::BatchRunner batch experiment engine: deterministic
 // seeding and aggregation (thread-count independent), empty batches,
-// exception isolation, paired comparison sweeps, custom metric hooks, and
-// the JSON/CSV escaping of group, solver, and metric names.
+// exception isolation, solver-pool loops inside cells, paired comparison
+// sweeps, custom metric hooks, and the JSON/CSV escaping of group, solver,
+// and metric names.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "core/solver.hpp"
 #include "gen/random_tree.hpp"
 #include "runner/batch_runner.hpp"
 #include "support/common.hpp"
+#include "support/thread_pool.hpp"
 
 namespace rpt::runner {
 namespace {
@@ -82,6 +86,58 @@ TEST(BatchRunner, HardwareConcurrencyDefaultMatchesSingleThread) {
   BatchRunner baseline = MakeGridRunner(1);
   BatchRunner hw = MakeGridRunner(0);  // 0 = hardware concurrency
   EXPECT_EQ(hw.Run().ToJson(), baseline.Run().ToJson());
+}
+
+TEST(BatchRunner, SolverPoolLoopsInsideCellsRunInline) {
+  // Cells run on the runner's pool workers, which already keep the cores
+  // busy. A fork-join loop that a solver starts inside a cell must run
+  // once, inline on the cell's own thread, even when the solver pool is
+  // wider than one.
+  struct SolverThreadsGuard {
+    SolverThreadsGuard() { SetSolverThreads(4); }
+    ~SolverThreadsGuard() { SetSolverThreads(1); }
+  } guard;
+  ASSERT_NE(SolverPool(), nullptr);
+
+  struct Observation {
+    std::atomic<std::size_t> calls{0};
+    std::atomic<std::size_t> covered{0};
+    std::atomic<bool> off_cell_thread{false};
+    std::atomic<bool> on_caller_thread{false};
+  };
+  constexpr std::size_t kCells = 12;
+  constexpr std::size_t kCount = std::size_t{1} << 16;
+  std::vector<Observation> seen(kCells);
+  const auto caller = std::this_thread::get_id();
+  BatchRunner runner(BatchOptions{3});
+  for (std::size_t i = 0; i < kCells; ++i) {
+    runner.Add(Cell{"nested", SmallBinaryWorkload(8),
+                    [&seen, caller, i](const Instance& instance) {
+                      Observation& obs = seen[i];
+                      const auto cell_thread = std::this_thread::get_id();
+                      obs.on_caller_thread = cell_thread == caller;
+                      ParallelForChunked(SolverPool(), kCount, /*grain=*/1,
+                                         [&](std::size_t begin, std::size_t end) {
+                                           ++obs.calls;
+                                           obs.covered += end - begin;
+                                           if (std::this_thread::get_id() != cell_thread) {
+                                             obs.off_cell_thread = true;
+                                           }
+                                         });
+                      return core::Run(core::Algorithm::kSingleGen, instance);
+                    },
+                    DeriveSeed(3, i),
+                    {}});
+  }
+  const BatchReport report = runner.Run();
+  EXPECT_EQ(report.TotalErrors(), 0u);
+  for (std::size_t i = 0; i < kCells; ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    EXPECT_FALSE(seen[i].on_caller_thread.load());  // the cell ran on a pool worker
+    EXPECT_EQ(seen[i].calls.load(), 1u);
+    EXPECT_EQ(seen[i].covered.load(), kCount);
+    EXPECT_FALSE(seen[i].off_cell_thread.load());
+  }
 }
 
 TEST(BatchRunner, EmptyCellSetYieldsEmptyReport) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "exact/exact.hpp"
 #include "gen/random_tree.hpp"
@@ -168,6 +169,19 @@ struct OptimalityCase {
   Distance max_edge;
 };
 
+// Names the case in gtest output and, through PrintToStringParamName, in
+// ctest; without it gtest prints the struct's raw bytes, padding included,
+// which vary from build to build.
+void PrintTo(const OptimalityCase& c, std::ostream* os) {
+  *os << "clients" << c.clients << "_W" << c.capacity << "_maxreq" << c.max_requests;
+  if (c.dmax == kNoDistanceLimit) {
+    *os << "_nod";
+  } else {
+    *os << "_dmax" << c.dmax;
+  }
+  *os << "_edge" << c.max_edge;
+}
+
 class MultipleBinOptimalityNod : public ::testing::TestWithParam<OptimalityCase> {};
 
 TEST_P(MultipleBinOptimalityNod, MatchesExhaustiveOptimum) {
@@ -194,7 +208,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MultipleBinOptimalityNod,
                          ::testing::Values(OptimalityCase{6, 8, 8, kNoDistanceLimit, 2},
                                            OptimalityCase{7, 5, 5, kNoDistanceLimit, 3},
                                            OptimalityCase{8, 12, 12, kNoDistanceLimit, 1},
-                                           OptimalityCase{5, 20, 20, kNoDistanceLimit, 4}));
+                                           OptimalityCase{5, 20, 20, kNoDistanceLimit, 4}),
+                         ::testing::PrintToStringParamName());
 
 class MultipleBinWithDistances : public ::testing::TestWithParam<OptimalityCase> {};
 
@@ -233,7 +248,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MultipleBinWithDistances,
                                            OptimalityCase{7, 5, 5, 6, 3},
                                            OptimalityCase{8, 12, 12, 5, 1},
                                            OptimalityCase{8, 4, 4, 3, 1},
-                                           OptimalityCase{5, 20, 20, 8, 4}));
+                                           OptimalityCase{5, 20, 20, 8, 4}),
+                         ::testing::PrintToStringParamName());
 
 // The minimal counterexample our reproduction found to Theorem 6 as stated
 // in RR-7750 (13 nodes, W=8, dmax=4): Algorithm 3 places 6 replicas, but 5

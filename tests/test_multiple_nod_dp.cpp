@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include "exact/exact.hpp"
@@ -96,6 +97,14 @@ struct DpCase {
   Requests max_requests;  // may exceed capacity: splitting must cope
 };
 
+// Names the case in gtest output and, through PrintToStringParamName, in
+// ctest; without it gtest prints the struct's raw bytes, padding included,
+// which vary from build to build.
+void PrintTo(const DpCase& c, std::ostream* os) {
+  *os << "internal" << c.internal_nodes << "_clients" << c.clients << "_children"
+      << c.max_children << "_W" << c.capacity << "_maxreq" << c.max_requests;
+}
+
 class MultipleNodDpAgreement : public ::testing::TestWithParam<DpCase> {};
 
 TEST_P(MultipleNodDpAgreement, MatchesExhaustiveOptimum) {
@@ -124,7 +133,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MultipleNodDpAgreement,
                                            DpCase{3, 7, 3, 8, 14},   // r_i > W occurs
                                            DpCase{5, 6, 2, 5, 5},
                                            DpCase{2, 8, 5, 10, 10},
-                                           DpCase{4, 6, 4, 6, 17}));  // heavy splitting
+                                           DpCase{4, 6, 4, 6, 17}),  // heavy splitting
+                         ::testing::PrintToStringParamName());
 
 // Scalar reference for the vectorized staircase-merge inner loop.
 void MergeMinShiftScalar(std::vector<std::uint32_t>& out,

@@ -1,9 +1,10 @@
-// Determinism guards for intra-instance parallelism: the parallel
-// TreeBuilder::Build (level-synchronous CSR derive on the solver pool) and
-// the level-synchronous Multiple-NoD DP must be byte-identical to their
-// serial forms at every thread count. Runs the same inputs at solver
-// widths 1 (serial path), 2, and 7 (more workers than this container has
-// cores, which is exactly the oversubscribed case worth exercising) and
+// Determinism guards across solver-pool widths. TreeBuilder::Build is
+// serial and never touches the solver pool, so a tree built at any
+// SetSolverThreads width must equal the width-1 tree column for column. The
+// level-synchronous Multiple-NoD DP, the one intra-instance parallel
+// kernel, must be byte-identical to its serial form at every width. Runs
+// the same inputs at solver widths 1 (serial), 2, and 7 (more workers than
+// a small machine has cores, the oversubscribed case worth exercising) and
 // compares every observable column / solver output.
 #include <gtest/gtest.h>
 
@@ -26,8 +27,8 @@ struct SolverThreadsGuard {
   ~SolverThreadsGuard() { SetSolverThreads(1); }
 };
 
-// The parallel derive path only engages above an internal node-count
-// crossover (32768 nodes); both tree shapes here clear it.
+// Both shapes exceed 32768 nodes, so a Build() path gated on tree size
+// would run here too.
 Tree BuildBigBinaryTree(std::uint64_t seed) {
   gen::BinaryTreeConfig cfg;
   cfg.clients = 20000;  // 39999 nodes

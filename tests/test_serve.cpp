@@ -98,7 +98,9 @@ TEST(PlacementSnapshot, MirrorsSolvedStateByteForByte) {
     const auto span = snapshot->ServersOf(client);
     Requests routed = 0;
     for (std::size_t i = 0; i < span.size(); ++i) {
-      if (i > 0) EXPECT_LT(span[i - 1].server, span[i].server);
+      if (i > 0) {
+        EXPECT_LT(span[i - 1].server, span[i].server);
+      }
       routed += span[i].amount;
       ++entries_seen;
     }
@@ -106,7 +108,9 @@ TEST(PlacementSnapshot, MirrorsSolvedStateByteForByte) {
   }
   EXPECT_EQ(entries_seen, solved.solution.assignment.size());
   for (NodeId id = 0; id < tree.Size(); ++id) {
-    if (!tree.IsClient(id)) EXPECT_TRUE(snapshot->ServersOf(id).empty());
+    if (!tree.IsClient(id)) {
+      EXPECT_TRUE(snapshot->ServersOf(id).empty());
+    }
   }
 
   // Subtree aggregates and attach probes against brute force.

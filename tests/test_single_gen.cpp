@@ -4,6 +4,8 @@
 // certified against the exhaustive optimal solver on small instances.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "exact/exact.hpp"
 #include "gen/paper_instances.hpp"
 #include "gen/random_tree.hpp"
@@ -96,6 +98,19 @@ struct SingleGenPropertyCase {
   Distance dmax;
 };
 
+// Names the case in gtest output and, through PrintToStringParamName, in
+// ctest; without it gtest prints the struct's raw bytes, padding included,
+// which vary from build to build.
+void PrintTo(const SingleGenPropertyCase& c, std::ostream* os) {
+  *os << "internal" << c.internal_nodes << "_clients" << c.clients << "_children"
+      << c.max_children << "_W" << c.capacity;
+  if (c.dmax == kNoDistanceLimit) {
+    *os << "_nod";
+  } else {
+    *os << "_dmax" << c.dmax;
+  }
+}
+
 class SingleGenProperty : public ::testing::TestWithParam<SingleGenPropertyCase> {};
 
 TEST_P(SingleGenProperty, AlwaysFeasible) {
@@ -127,7 +142,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SingleGenPropertyCase{8, 9, 2, 20, 10},
                       SingleGenPropertyCase{8, 20, 5, 7, kNoDistanceLimit},
                       SingleGenPropertyCase{1, 6, 6, 9, 4},
-                      SingleGenPropertyCase{12, 24, 4, 30, 3}));
+                      SingleGenPropertyCase{12, 24, 4, 30, 3}),
+    ::testing::PrintToStringParamName());
 
 // Ratio certification against the exhaustive optimum on small instances:
 // Theorem 3 promises |R_algo| <= (∆+1) |R_opt| (and <= ∆ |R_opt| for NoD).

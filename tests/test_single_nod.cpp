@@ -3,6 +3,8 @@
 // against the exhaustive optimum (Theorem 4).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "exact/exact.hpp"
 #include "gen/paper_instances.hpp"
 #include "gen/random_tree.hpp"
@@ -114,6 +116,14 @@ struct NodPropertyCase {
   Requests capacity;
 };
 
+// Names the case in gtest output and, through PrintToStringParamName, in
+// ctest; without it gtest prints the struct's raw bytes, padding included,
+// which vary from build to build.
+void PrintTo(const NodPropertyCase& c, std::ostream* os) {
+  *os << "internal" << c.internal_nodes << "_clients" << c.clients << "_children"
+      << c.max_children << "_W" << c.capacity;
+}
+
 class SingleNodProperty : public ::testing::TestWithParam<NodPropertyCase> {};
 
 TEST_P(SingleNodProperty, AlwaysFeasible) {
@@ -140,7 +150,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SingleNodProperty,
                                            NodPropertyCase{8, 9, 2, 20},
                                            NodPropertyCase{8, 20, 5, 7},
                                            NodPropertyCase{1, 6, 6, 9},
-                                           NodPropertyCase{12, 24, 4, 15}));
+                                           NodPropertyCase{12, 24, 4, 15}),
+                         ::testing::PrintToStringParamName());
 
 // Theorem 4 certification: ratio <= 2 against the exhaustive optimum.
 class SingleNodRatio : public ::testing::TestWithParam<Requests> {};

@@ -268,7 +268,9 @@ TEST(TreeOverlay, CompactAfterMutationsPreservesStructure) {
     EXPECT_EQ(tree.RequestsOf(new_id), overlay.RequestsOf(old_id));
     EXPECT_EQ(tree.SubtreeRequests(new_id), overlay.SubtreeRequests(old_id));
     EXPECT_EQ(tree.SubtreeSize(new_id), overlay.SubtreeSize(old_id));
-    if (old_id != 0) EXPECT_EQ(tree.Parent(new_id), remap[overlay.Parent(old_id)]);
+    if (old_id != 0) {
+      EXPECT_EQ(tree.Parent(new_id), remap[overlay.Parent(old_id)]);
+    }
   }
   // Child order survives: root's children are [2, 6] in overlay order.
   ASSERT_EQ(tree.Children(0).size(), 2u);

@@ -4,6 +4,10 @@
 // on the validator being unable to miss a violation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+
 #include "core/solver.hpp"
 #include "gen/random_tree.hpp"
 #include "model/validate.hpp"
@@ -16,6 +20,15 @@ struct FuzzCase {
   Policy policy;
   core::Algorithm algorithm;
 };
+
+// Names the case in gtest output and, through PrintToStringParamName, in
+// ctest; without it gtest prints the struct's raw bytes, padding included,
+// which vary from build to build.
+void PrintTo(const FuzzCase& c, std::ostream* os) {
+  std::string algorithm(core::AlgorithmName(c.algorithm));
+  std::replace(algorithm.begin(), algorithm.end(), '-', '_');
+  *os << PolicyName(c.policy) << '_' << algorithm;
+}
 
 class ValidatorFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
@@ -89,7 +102,8 @@ INSTANTIATE_TEST_SUITE_P(
     Policies, ValidatorFuzz,
     ::testing::Values(FuzzCase{Policy::kSingle, core::Algorithm::kSingleGen},
                       FuzzCase{Policy::kMultiple, core::Algorithm::kMultipleBin},
-                      FuzzCase{Policy::kMultiple, core::Algorithm::kMultipleGreedy}));
+                      FuzzCase{Policy::kMultiple, core::Algorithm::kMultipleGreedy}),
+    ::testing::PrintToStringParamName());
 
 // Single-policy splitting corruption: split one client's entry across two
 // servers — legal under Multiple, illegal under Single.
