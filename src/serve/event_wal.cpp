@@ -10,10 +10,12 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "support/crc32.hpp"
 #include "support/failpoint.hpp"
+#include "support/wire.hpp"
 #include "tree/serialize.hpp"
 
 namespace rpt::serve {
@@ -24,60 +26,18 @@ using incremental::UpdateEvent;
 
 constexpr char kWalMagic[8] = {'R', 'P', 'T', 'W', 'A', 'L', '1', '\0'};
 constexpr std::size_t kWalMagicBytes = sizeof(kWalMagic);
-constexpr std::size_t kRecordHeaderBytes = 8;  // len u32 + crc u32
 
-void PutU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
+// Smallest encoding of one item: a count field can claim no more items
+// than the bytes left hold at this size.
+constexpr std::size_t kEventBytes = 29;     // kind u8 | client u32 | delta u64 | value u64
+                                            // | parent u32 | nspec u32
+constexpr std::size_t kSpecNodeBytes = 21;  // kind u8 | parent u32 | delta u64 | requests u64
 
-void PutU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void PutU8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
-
-// Bounds-checked little-endian cursor over a decoded payload. Parse
-// failures throw InternalError: the CRC already vouched for these bytes, so
-// a malformed payload is a writer bug or a version skew, never a torn tail.
-class Cursor {
- public:
-  Cursor(const char* data, std::size_t size) : data_(data), size_(size) {}
-
-  std::uint8_t U8() {
-    Need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint32_t U32() {
-    Need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t U64() {
-    Need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-  [[nodiscard]] bool Exhausted() const { return pos_ == size_; }
-
- private:
-  void Need(std::size_t n) const {
-    if (size_ - pos_ < n) {
-      throw InternalError("event_wal: payload underrun despite matching CRC");
-    }
-  }
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-WalBatch DecodeBatchPayload(const char* data, std::size_t size) {
-  Cursor cur(data, size);
+// Parse failures throw InternalError: the CRC already vouched for these
+// bytes, so a malformed payload is a writer bug or a version skew, never a
+// torn tail.
+WalBatch DecodeBatchPayload(std::string_view payload) {
+  wire::Reader<InternalError> cur(payload, "event_wal: CRC-valid payload");
   WalBatch batch;
   batch.seq = cur.U64();
   const std::uint32_t count = cur.U32();
@@ -89,6 +49,7 @@ WalBatch DecodeBatchPayload(const char* data, std::size_t size) {
     }
     return batch;
   }
+  cur.CheckCount(count, kEventBytes);
   batch.events.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     UpdateEvent ev;
@@ -101,7 +62,7 @@ WalBatch DecodeBatchPayload(const char* data, std::size_t size) {
     ev.delta = static_cast<std::int64_t>(cur.U64());
     ev.value = cur.U64();
     ev.parent = cur.U32();
-    const std::uint32_t nspec = cur.U32();
+    const std::uint32_t nspec = cur.Count(kSpecNodeBytes);
     ev.spec.nodes.reserve(nspec);
     for (std::uint32_t j = 0; j < nspec; ++j) {
       SubtreeSpec::Node node;
@@ -123,22 +84,12 @@ WalBatch DecodeBatchPayload(const char* data, std::size_t size) {
   return batch;
 }
 
-std::uint32_t ReadU32At(const std::string& bytes, std::size_t off) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[off + i])) << (8 * i);
-  return v;
-}
-
-/// True when a structurally valid record (sane length, full payload
-/// present, CRC matching) frames at `off`.
-bool FramesValidRecord(const std::string& bytes, std::size_t off) {
-  if (bytes.size() - off < kRecordHeaderBytes) return false;
-  const std::uint32_t len = ReadU32At(bytes, off);
-  const std::uint32_t crc = ReadU32At(bytes, off + 4);
-  if (len == 0 || len > kMaxWalRecordBytes) return false;
-  if (bytes.size() - off - kRecordHeaderBytes < len) return false;
-  return support::Crc32(bytes.data() + off + kRecordHeaderBytes, len) == crc;
+/// The payload of the structurally valid record (sane length, full payload
+/// present, CRC matching) framed at `off`, or an empty view when none is.
+/// A zero-length record is never valid, so empty means "no record".
+std::string_view RecordAt(std::string_view bytes, std::size_t off) {
+  const wire::FrameScan scan = wire::ScanCrcFrame(bytes.substr(off), kMaxWalRecordBytes);
+  return scan.status == wire::FrameStatus::kOk ? scan.payload : std::string_view();
 }
 
 std::string ReadWholeFile(const std::string& path, bool& exists) {
@@ -243,48 +194,46 @@ EventWal::~EventWal() {
 std::string EventWal::EncodeBatchPayload(
     std::uint64_t seq, const std::vector<UpdateEvent>& events) {
   std::string payload;
-  PutU64(payload, seq);
-  PutU32(payload, static_cast<std::uint32_t>(events.size()));
+  wire::PutU64(payload, seq);
+  wire::PutU32(payload, static_cast<std::uint32_t>(events.size()));
   for (const UpdateEvent& ev : events) {
-    PutU8(payload, static_cast<std::uint8_t>(ev.kind));
-    PutU32(payload, ev.client);
-    PutU64(payload, static_cast<std::uint64_t>(ev.delta));
-    PutU64(payload, ev.value);
-    PutU32(payload, ev.parent);
-    PutU32(payload, static_cast<std::uint32_t>(ev.spec.nodes.size()));
+    wire::PutU8(payload, static_cast<std::uint8_t>(ev.kind));
+    wire::PutU32(payload, ev.client);
+    wire::PutU64(payload, static_cast<std::uint64_t>(ev.delta));
+    wire::PutU64(payload, ev.value);
+    wire::PutU32(payload, ev.parent);
+    wire::PutU32(payload, static_cast<std::uint32_t>(ev.spec.nodes.size()));
     for (const SubtreeSpec::Node& node : ev.spec.nodes) {
-      PutU8(payload, static_cast<std::uint8_t>(node.kind));
-      PutU32(payload, node.parent);
-      PutU64(payload, node.delta);
-      PutU64(payload, node.requests);
+      wire::PutU8(payload, static_cast<std::uint8_t>(node.kind));
+      wire::PutU32(payload, node.parent);
+      wire::PutU64(payload, node.delta);
+      wire::PutU64(payload, node.requests);
     }
   }
-  RPT_CHECK(payload.size() <= kMaxWalRecordBytes);
   return payload;
 }
 
 std::string EventWal::EncodeEpochPayload(std::uint64_t seq, std::uint64_t epoch) {
   std::string payload;
-  PutU64(payload, seq);
-  PutU32(payload, kEpochMarker);
-  PutU64(payload, epoch);
+  wire::PutU64(payload, seq);
+  wire::PutU32(payload, kEpochMarker);
+  wire::PutU64(payload, epoch);
   return payload;
 }
 
 std::string EventWal::FrameRecord(const std::string& payload) {
   std::string record;
-  record.reserve(kRecordHeaderBytes + payload.size());
-  PutU32(record, static_cast<std::uint32_t>(payload.size()));
-  PutU32(record, support::Crc32(payload.data(), payload.size()));
-  record += payload;
+  record.reserve(wire::kFrameHeaderBytes + payload.size());
+  wire::AppendCrcFrame(record, payload, kMaxWalRecordBytes);
   return record;
 }
 
 std::optional<WalBatch> EventWal::TryDecodeFramedRecord(const std::string& frame) {
-  if (!FramesValidRecord(frame, 0)) return std::nullopt;
-  const std::uint32_t len = ReadU32At(frame, 0);
-  if (frame.size() != kRecordHeaderBytes + len) return std::nullopt;
-  return DecodeBatchPayload(frame.data() + kRecordHeaderBytes, len);
+  const std::string_view payload = RecordAt(frame, 0);
+  if (payload.empty() || frame.size() != wire::kFrameHeaderBytes + payload.size()) {
+    return std::nullopt;
+  }
+  return DecodeBatchPayload(payload);
 }
 
 WalReadResult EventWal::Read(const std::string& path) {
@@ -307,10 +256,9 @@ WalReadResult EventWal::Read(const std::string& path) {
   result.valid_bytes = off;
   std::uint64_t last_seq = 0;
   while (off < bytes.size()) {
-    if (!FramesValidRecord(bytes, off)) break;
-    const std::uint32_t len = ReadU32At(bytes, off);
-    WalBatch batch =
-        DecodeBatchPayload(bytes.data() + off + kRecordHeaderBytes, len);
+    const std::string_view payload = RecordAt(bytes, off);
+    if (payload.empty()) break;
+    WalBatch batch = DecodeBatchPayload(payload);
     if (batch.seq <= last_seq) {
       throw InternalError("event_wal: non-increasing seq " +
                           std::to_string(batch.seq) + " after " +
@@ -318,16 +266,16 @@ WalReadResult EventWal::Read(const std::string& path) {
     }
     last_seq = batch.seq;
     result.batches.push_back(std::move(batch));
-    off += kRecordHeaderBytes + len;
+    off += wire::kFrameHeaderBytes + payload.size();
     result.valid_bytes = off;
   }
 
   if (off < bytes.size()) {
     // Damage at `off`. Torn tail iff no committed record survives past it;
     // otherwise the middle of the log is gone and replay must not proceed.
-    for (std::size_t probe = off + 1; probe + kRecordHeaderBytes <= bytes.size();
+    for (std::size_t probe = off + 1; probe + wire::kFrameHeaderBytes <= bytes.size();
          ++probe) {
-      if (FramesValidRecord(bytes, probe)) {
+      if (!RecordAt(bytes, probe).empty()) {
         throw InternalError(
             "event_wal: interior corruption in '" + path + "' at byte " +
             std::to_string(off) + " (intact record follows at byte " +

@@ -23,6 +23,7 @@
 #include <string>
 
 #include "support/common.hpp"
+#include "support/wire.hpp"
 
 namespace rpt::serve::net {
 
@@ -70,14 +71,6 @@ inline IoStatus WriteFull(int fd, const std::uint8_t* buf, std::size_t len) {
     }
   }
   return IoStatus::kOk;
-}
-
-inline std::uint32_t DecodePrefix(const std::uint8_t prefix[4]) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(prefix[i]) << (8 * i);
-  }
-  return v;
 }
 
 inline void CloseQuiet(int fd) {
@@ -176,13 +169,12 @@ inline ListenSocket ListenLoopback(std::uint16_t port, int backlog = 64) {
 /// writes per frame would hand Nagle + delayed-ACK a ~40 ms stall on every
 /// synchronous request/ack round trip.
 inline IoStatus SendFrame(int fd, const std::string& payload) {
-  std::string wire;
-  wire.reserve(4 + payload.size());
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) wire.push_back(static_cast<char>(len >> (8 * i)));
-  wire.append(payload);
-  return WriteFull(fd, reinterpret_cast<const std::uint8_t*>(wire.data()),
-                   wire.size());
+  std::string frame;
+  frame.reserve(4 + payload.size());
+  wire::PutU32(frame, static_cast<std::uint32_t>(payload.size()));
+  frame.append(payload);
+  return WriteFull(fd, reinterpret_cast<const std::uint8_t*>(frame.data()),
+                   frame.size());
 }
 
 /// ReadFull that rides through SO_RCVTIMEO expiries once a read has begun:
@@ -226,7 +218,7 @@ inline IoStatus RecvFrame(int fd, std::string& payload, std::uint32_t max_bytes,
   if (first != IoStatus::kOk) return first;  // clean boundary: frame not begun
   const IoStatus rest = ReadFullPatient(fd, prefix + 1, 3, max_stall_ticks);
   if (rest != IoStatus::kOk) return IoStatus::kClosed;
-  const std::uint32_t len = DecodePrefix(prefix);
+  const std::uint32_t len = wire::LoadU32(prefix);
   if (len > max_bytes) return IoStatus::kClosed;
   payload.resize(len);
   if (len == 0) return IoStatus::kOk;

@@ -1,32 +1,8 @@
 #include "serve/query.hpp"
 
+#include "support/wire.hpp"
+
 namespace rpt::serve {
-
-namespace {
-
-void PutU8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
-
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t GetU32(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[at + i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t GetU64(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(in[at + i]) << (8 * i);
-  return v;
-}
-
-}  // namespace
 
 const char* QueryKindName(QueryKind kind) noexcept {
   switch (kind) {
@@ -77,21 +53,21 @@ QueryResponse Answer(const PlacementSnapshot& snapshot, const QueryRequest& requ
 }
 
 void EncodeRequest(const QueryRequest& request, std::vector<std::uint8_t>& out) {
-  PutU32(out, static_cast<std::uint32_t>(kRequestWireSize));
-  PutU8(out, static_cast<std::uint8_t>(request.kind));
-  PutU32(out, request.node);
-  PutU64(out, request.demand);
+  wire::PutU32(out, static_cast<std::uint32_t>(kRequestWireSize));
+  wire::PutU8(out, static_cast<std::uint8_t>(request.kind));
+  wire::PutU32(out, request.node);
+  wire::PutU64(out, request.demand);
 }
 
 void EncodeResponse(const QueryResponse& response, std::vector<std::uint8_t>& out) {
-  PutU32(out, static_cast<std::uint32_t>(kResponseWireSize));
-  PutU64(out, response.version);
-  PutU8(out, static_cast<std::uint8_t>((response.ok ? 1 : 0) |
-                                       (response.stale ? 2 : 0) |
-                                       (response.follower ? 4 : 0)));
-  PutU32(out, response.server);
-  PutU64(out, response.value);
-  PutU64(out, response.distance);
+  wire::PutU32(out, static_cast<std::uint32_t>(kResponseWireSize));
+  wire::PutU64(out, response.version);
+  wire::PutU8(out, static_cast<std::uint8_t>((response.ok ? 1 : 0) |
+                                             (response.stale ? 2 : 0) |
+                                             (response.follower ? 4 : 0)));
+  wire::PutU32(out, response.server);
+  wire::PutU64(out, response.value);
+  wire::PutU64(out, response.distance);
 }
 
 QueryRequest DecodeRequest(std::span<const std::uint8_t> payload) {
@@ -102,8 +78,8 @@ QueryRequest DecodeRequest(std::span<const std::uint8_t> payload) {
               "serve: unknown query kind byte");
   QueryRequest request;
   request.kind = static_cast<QueryKind>(payload[0]);
-  request.node = GetU32(payload, 1);
-  request.demand = GetU64(payload, 5);
+  request.node = wire::LoadU32(&payload[1]);
+  request.demand = wire::LoadU64(&payload[5]);
   return request;
 }
 
@@ -113,13 +89,13 @@ QueryResponse DecodeResponse(std::span<const std::uint8_t> payload) {
                   " bytes, got " + std::to_string(payload.size()));
   RPT_REQUIRE(payload[8] <= 7, "serve: unknown status bits in response");
   QueryResponse response;
-  response.version = GetU64(payload, 0);
+  response.version = wire::LoadU64(&payload[0]);
   response.ok = (payload[8] & 1) != 0;
   response.stale = (payload[8] & 2) != 0;
   response.follower = (payload[8] & 4) != 0;
-  response.server = GetU32(payload, 9);
-  response.value = GetU64(payload, 13);
-  response.distance = GetU64(payload, 21);
+  response.server = wire::LoadU32(&payload[9]);
+  response.value = wire::LoadU64(&payload[13]);
+  response.distance = wire::LoadU64(&payload[21]);
   return response;
 }
 

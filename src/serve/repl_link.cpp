@@ -5,25 +5,9 @@
 
 #include "serve/net_util.hpp"
 #include "support/failpoint.hpp"
+#include "support/wire.hpp"
 
 namespace rpt::serve {
-
-namespace {
-
-void PutU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-std::uint64_t GetU64(const std::string& in, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(in[at + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
 
 std::string EncodeReplFrame(const ReplFrame& frame) {
   std::string out;
@@ -32,16 +16,16 @@ std::string EncodeReplFrame(const ReplFrame& frame) {
     case ReplFrameKind::kHello:
     case ReplFrameKind::kAck:
     case ReplFrameKind::kHeartbeat:
-      PutU64(out, frame.epoch);
-      PutU64(out, frame.seq);
+      wire::PutU64(out, frame.epoch);
+      wire::PutU64(out, frame.seq);
       break;
     case ReplFrameKind::kRecord:
-      PutU64(out, frame.epoch);
-      PutU64(out, frame.hash);
+      wire::PutU64(out, frame.epoch);
+      wire::PutU64(out, frame.hash);
       out += frame.record;
       break;
     case ReplFrameKind::kFence:
-      PutU64(out, frame.epoch);
+      wire::PutU64(out, frame.epoch);
       break;
   }
   return out;
@@ -57,20 +41,20 @@ std::optional<ReplFrame> DecodeReplFrame(const std::string& payload) {
     case static_cast<std::uint8_t>(ReplFrameKind::kHeartbeat):
       if (payload.size() != 17) return std::nullopt;
       frame.kind = static_cast<ReplFrameKind>(kind);
-      frame.epoch = GetU64(payload, 1);
-      frame.seq = GetU64(payload, 9);
+      frame.epoch = wire::LoadU64(&payload[1]);
+      frame.seq = wire::LoadU64(&payload[9]);
       return frame;
     case static_cast<std::uint8_t>(ReplFrameKind::kRecord):
       if (payload.size() < 17) return std::nullopt;
       frame.kind = ReplFrameKind::kRecord;
-      frame.epoch = GetU64(payload, 1);
-      frame.hash = GetU64(payload, 9);
+      frame.epoch = wire::LoadU64(&payload[1]);
+      frame.hash = wire::LoadU64(&payload[9]);
       frame.record = payload.substr(17);
       return frame;
     case static_cast<std::uint8_t>(ReplFrameKind::kFence):
       if (payload.size() != 9) return std::nullopt;
       frame.kind = ReplFrameKind::kFence;
-      frame.epoch = GetU64(payload, 1);
+      frame.epoch = wire::LoadU64(&payload[1]);
       return frame;
     default:
       return std::nullopt;

@@ -9,11 +9,11 @@
 #include "serve/net_util.hpp"
 #include "support/common.hpp"
 #include "support/failpoint.hpp"
+#include "support/wire.hpp"
 
 namespace rpt::serve {
 
 using net::CloseQuiet;
-using net::DecodePrefix;
 using net::IoStatus;
 using net::ReadFull;
 using net::SetIoTimeouts;
@@ -134,7 +134,7 @@ void TcpServer::ServeConnection(int fd) {
       if (ps == IoStatus::kTimeout) timeouts_.fetch_add(1, std::memory_order_relaxed);
       break;
     }
-    const std::uint32_t len = DecodePrefix(prefix);
+    const std::uint32_t len = wire::LoadU32(prefix);
     if (len > kMaxFrameBytes) break;  // desync — nothing sane to answer
     payload.resize(len);
     if (len > 0) {
@@ -234,8 +234,7 @@ QueryResponse TcpClient::QueryOnce(const QueryRequest& request) {
 
 QueryResponse TcpClient::RawFrame(std::span<const std::uint8_t> payload) {
   std::vector<std::uint8_t> out;
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+  wire::PutU32(out, static_cast<std::uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
   RPT_CHECK(fd_ >= 0);
   const IoStatus ws = WriteFull(fd_, out.data(), out.size());
@@ -256,7 +255,7 @@ QueryResponse TcpClient::ReadResponse() {
   const IoStatus ps = ReadFull(fd_, prefix, 4);
   if (ps == IoStatus::kTimeout) throw TimeoutError("TcpClient: response timed out");
   if (ps != IoStatus::kOk) throw InternalError("TcpClient: connection closed");
-  const std::uint32_t len = DecodePrefix(prefix);
+  const std::uint32_t len = wire::LoadU32(prefix);
   if (len == 1) {
     std::uint8_t status = 0;
     const IoStatus bs = ReadFull(fd_, &status, 1);

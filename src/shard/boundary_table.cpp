@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "support/common.hpp"
-#include "support/crc32.hpp"
+#include "support/wire.hpp"
 
 namespace rpt::shard {
 
@@ -15,68 +15,17 @@ using CostTable = multiple::NodDpEngine::CostTable;
 constexpr Cost kInf = multiple::NodDpEngine::kInfCost;
 
 constexpr std::size_t kMagicBytes = sizeof(kBtabMagic);
-constexpr std::size_t kFrameHeaderBytes = 8;  // len u32 + crc u32
 constexpr std::uint8_t kKindTable = 1;
 constexpr std::uint8_t kKindFragment = 2;
 constexpr std::uint32_t kBtabVersion = 1;
 
-void PutU8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
-
-void PutU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void PutU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
+// Every decode failure — underrun, overrun, bad field — is InvalidArgument:
+// a btab either loads exactly or loudly refuses, there is no partial result
+// to hand back.
+using Reader = wire::Reader<InvalidArgument>;
 
 [[noreturn]] void Fail(const std::string& what) {
   throw InvalidArgument("rpt-btab: " + what);
-}
-
-// Bounds-checked little-endian cursor. Every decode failure — underrun,
-// overrun, bad field — is InvalidArgument: a btab either loads exactly or
-// loudly refuses, there is no partial result to hand back.
-class Cursor {
- public:
-  Cursor(const char* data, std::size_t size) : data_(data), size_(size) {}
-
-  std::uint8_t U8() {
-    Need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint32_t U32() {
-    Need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t U64() {
-    Need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-  [[nodiscard]] bool Exhausted() const { return pos_ == size_; }
-
- private:
-  void Need(std::size_t n) const {
-    if (size_ - pos_ < n) Fail("payload underruns its frame");
-  }
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-void AppendFramed(std::string& out, const std::string& payload) {
-  RPT_CHECK(payload.size() <= kMaxBtabRecordBytes);
-  PutU32(out, static_cast<std::uint32_t>(payload.size()));
-  PutU32(out, support::Crc32(payload.data(), payload.size()));
-  out.append(payload);
 }
 
 std::string EncodeTablePayload(const BoundaryTable& table) {
@@ -100,19 +49,19 @@ std::string EncodeTablePayload(const BoundaryTable& table) {
   }
 
   std::string payload;
-  PutU8(payload, kKindTable);
-  PutU32(payload, table.cut);
-  PutU64(payload, table.demand);
-  PutU32(payload, table.subtree_nodes);
-  PutU64(payload, table.table_entries);
-  PutU64(payload, table.convolve_cells);
-  PutU32(payload, vmin);
-  PutU32(payload, vmax);
-  for (const std::uint32_t v : inv) PutU32(payload, v);
+  wire::PutU8(payload, kKindTable);
+  wire::PutU32(payload, table.cut);
+  wire::PutU64(payload, table.demand);
+  wire::PutU32(payload, table.subtree_nodes);
+  wire::PutU64(payload, table.table_entries);
+  wire::PutU64(payload, table.convolve_cells);
+  wire::PutU32(payload, vmin);
+  wire::PutU32(payload, vmax);
+  for (const std::uint32_t v : inv) wire::PutU32(payload, v);
   return payload;
 }
 
-void DecodeTablePayload(Cursor& cur, BtabFile& file) {
+void DecodeTablePayload(Reader& cur, BtabFile& file) {
   BoundaryTable table;
   table.cut = cur.U32();
   table.demand = cur.U64();
@@ -123,9 +72,7 @@ void DecodeTablePayload(Cursor& cur, BtabFile& file) {
   const auto vmin = static_cast<Cost>(cur.U32());
   const auto vmax = static_cast<Cost>(cur.U32());
   if (vmin > vmax || vmax >= kInf) Fail("table cost range is invalid");
-  if (static_cast<std::uint64_t>(vmax) - vmin >= kMaxBtabRecordBytes / 4) {
-    Fail("table cost range is implausible for one record");
-  }
+  cur.CheckCount(static_cast<std::uint64_t>(vmax - vmin) + 1, 4);  // inv[] is u32s
   std::vector<std::uint32_t> inv(static_cast<std::size_t>(vmax - vmin) + 1);
   for (auto& v : inv) {
     v = cur.U32();
@@ -151,35 +98,35 @@ void DecodeTablePayload(Cursor& cur, BtabFile& file) {
 
 std::string EncodeFragmentPayload(const SolutionFragment& fragment) {
   std::string payload;
-  PutU8(payload, kKindFragment);
-  PutU32(payload, fragment.cut);
-  PutU64(payload, fragment.budget);
-  PutU32(payload, static_cast<std::uint32_t>(fragment.solution.replicas.size()));
-  for (const NodeId replica : fragment.solution.replicas) PutU32(payload, replica);
-  PutU32(payload, static_cast<std::uint32_t>(fragment.solution.assignment.size()));
+  wire::PutU8(payload, kKindFragment);
+  wire::PutU32(payload, fragment.cut);
+  wire::PutU64(payload, fragment.budget);
+  wire::PutU32(payload, static_cast<std::uint32_t>(fragment.solution.replicas.size()));
+  for (const NodeId replica : fragment.solution.replicas) wire::PutU32(payload, replica);
+  wire::PutU32(payload, static_cast<std::uint32_t>(fragment.solution.assignment.size()));
   for (const ServiceEntry& entry : fragment.solution.assignment) {
-    PutU32(payload, entry.client);
-    PutU32(payload, entry.server);
-    PutU64(payload, entry.amount);
+    wire::PutU32(payload, entry.client);
+    wire::PutU32(payload, entry.server);
+    wire::PutU64(payload, entry.amount);
   }
-  PutU32(payload, static_cast<std::uint32_t>(fragment.forwarded.size()));
+  wire::PutU32(payload, static_cast<std::uint32_t>(fragment.forwarded.size()));
   for (const auto& [client, amount] : fragment.forwarded) {
-    PutU32(payload, client);
-    PutU64(payload, amount);
+    wire::PutU32(payload, client);
+    wire::PutU64(payload, amount);
   }
   return payload;
 }
 
-void DecodeFragmentPayload(Cursor& cur, BtabFile& file) {
+void DecodeFragmentPayload(Reader& cur, BtabFile& file) {
   SolutionFragment fragment;
   fragment.cut = cur.U32();
   fragment.budget = cur.U64();
-  const std::uint32_t replica_count = cur.U32();
+  const std::uint32_t replica_count = cur.Count(4);  // replica u32
   fragment.solution.replicas.reserve(replica_count);
   for (std::uint32_t i = 0; i < replica_count; ++i) {
     fragment.solution.replicas.push_back(cur.U32());
   }
-  const std::uint32_t entry_count = cur.U32();
+  const std::uint32_t entry_count = cur.Count(16);  // client u32 | server u32 | amount u64
   fragment.solution.assignment.reserve(entry_count);
   for (std::uint32_t i = 0; i < entry_count; ++i) {
     ServiceEntry entry;
@@ -188,7 +135,7 @@ void DecodeFragmentPayload(Cursor& cur, BtabFile& file) {
     entry.amount = cur.U64();
     fragment.solution.assignment.push_back(entry);
   }
-  const std::uint32_t fwd_count = cur.U32();
+  const std::uint32_t fwd_count = cur.Count(12);  // client u32 | amount u64
   fragment.forwarded.reserve(fwd_count);
   for (std::uint32_t i = 0; i < fwd_count; ++i) {
     const NodeId client = cur.U32();
@@ -204,19 +151,19 @@ void DecodeFragmentPayload(Cursor& cur, BtabFile& file) {
 std::string EncodeBtab(const BtabFile& file) {
   std::string body;
   for (const BoundaryTable& table : file.tables) {
-    AppendFramed(body, EncodeTablePayload(table));
+    wire::AppendCrcFrame(body, EncodeTablePayload(table), kMaxBtabRecordBytes);
   }
   for (const SolutionFragment& fragment : file.fragments) {
-    AppendFramed(body, EncodeFragmentPayload(fragment));
+    wire::AppendCrcFrame(body, EncodeFragmentPayload(fragment), kMaxBtabRecordBytes);
   }
 
   std::string header;
-  PutU32(header, kBtabVersion);
-  PutU32(header, static_cast<std::uint32_t>(file.tables.size() + file.fragments.size()));
-  PutU64(header, body.size());
+  wire::PutU32(header, kBtabVersion);
+  wire::PutU32(header, static_cast<std::uint32_t>(file.tables.size() + file.fragments.size()));
+  wire::PutU64(header, body.size());
 
   std::string out(kBtabMagic, kMagicBytes);
-  AppendFramed(out, header);
+  wire::AppendCrcFrame(out, header, kMaxBtabRecordBytes);
   out.append(body);
   return out;
 }
@@ -226,25 +173,20 @@ BtabFile DecodeBtab(std::string_view bytes) {
     Fail("bad magic");
   }
   std::size_t pos = kMagicBytes;
-  const auto read_frame = [&](std::string_view what) -> std::string_view {
-    if (bytes.size() - pos < kFrameHeaderBytes) Fail(std::string(what) + " frame is truncated");
-    Cursor head(bytes.data() + pos, kFrameHeaderBytes);
-    const std::uint32_t len = head.U32();
-    const std::uint32_t crc = head.U32();
-    if (len > kMaxBtabRecordBytes) Fail(std::string(what) + " frame length is implausible");
-    if (bytes.size() - pos - kFrameHeaderBytes < len) {
-      Fail(std::string(what) + " payload is truncated");
+  const auto read_frame = [&](const char* what) -> std::string_view {
+    const wire::FrameScan scan = wire::ScanCrcFrame(bytes.substr(pos), kMaxBtabRecordBytes);
+    switch (scan.status) {
+      case wire::FrameStatus::kOk: break;
+      case wire::FrameStatus::kTruncated: Fail(std::string(what) + " frame is truncated");
+      case wire::FrameStatus::kTooLong: Fail(std::string(what) + " frame length is implausible");
+      case wire::FrameStatus::kBadCrc: Fail(std::string(what) + " payload fails its CRC");
     }
-    const std::string_view payload = bytes.substr(pos + kFrameHeaderBytes, len);
-    if (support::Crc32(payload.data(), payload.size()) != crc) {
-      Fail(std::string(what) + " payload fails its CRC");
-    }
-    pos += kFrameHeaderBytes + len;
-    return payload;
+    pos += wire::kFrameHeaderBytes + scan.payload.size();
+    return scan.payload;
   };
 
   const std::string_view header = read_frame("header");
-  Cursor head(header.data(), header.size());
+  Reader head(header, "rpt-btab: header payload");
   const std::uint32_t version = head.U32();
   if (version != kBtabVersion) Fail("unsupported version");
   const std::uint32_t record_count = head.U32();
@@ -256,7 +198,7 @@ BtabFile DecodeBtab(std::string_view bytes) {
   for (std::uint32_t i = 0; i < record_count; ++i) {
     const std::string_view payload = read_frame("record");
     if (payload.empty()) Fail("record payload is empty");
-    Cursor cur(payload.data(), payload.size());
+    Reader cur(payload, "rpt-btab: record payload");
     const std::uint8_t kind = cur.U8();
     if (kind == kKindTable) {
       DecodeTablePayload(cur, file);

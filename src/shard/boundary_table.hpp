@@ -11,10 +11,10 @@
 //   body    record_count framed records
 // and a framed record is
 //   u32 len | u32 crc | payload[len]
-// with crc = CRC-32 of the payload (support/crc32.hpp — the WAL's exact
-// framing style). `body_bytes` is the total framed size of the body, so the
-// decoder can cross-check the walk: it must consume exactly record_count
-// records and exactly body_bytes bytes and land exactly on EOF.
+// with crc = CRC-32 of the payload, written and scanned by support/wire.hpp,
+// the WAL's own codec. `body_bytes` is the total framed size of the body,
+// so the decoder can cross-check the walk: it must consume exactly
+// record_count records and exactly body_bytes bytes and land exactly on EOF.
 //
 // A TABLE payload stores the staircase *compressed* in the cost domain:
 // (vmin, vmax, inv[]) with inv[c - vmin] = smallest u such that F(u) <= c —

@@ -20,8 +20,8 @@
 #include "gen/random_tree.hpp"
 #include "incremental/incremental_solver.hpp"
 #include "serve/event_wal.hpp"
-#include "support/crc32.hpp"
 #include "support/failpoint.hpp"
+#include "support/wire.hpp"
 #include "tree/serialize.hpp"
 
 namespace rpt::serve {
@@ -139,12 +139,8 @@ TEST(EventWal, ReadRejectsSeqRegressionBetweenIntactRecords) {
   // Hand-frame seq 5 then seq 3 — both records individually intact.
   std::string bytes("RPTWAL1\0", 8);
   for (const std::uint64_t seq : {5u, 3u}) {
-    const std::string payload = EventWal::EncodeBatchPayload(seq, SampleBatches()[0]);
-    const auto len = static_cast<std::uint32_t>(payload.size());
-    const std::uint32_t crc = support::Crc32(payload.data(), payload.size());
-    for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<char>((len >> (8 * i)) & 0xFF));
-    for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
-    bytes += payload;
+    wire::AppendCrcFrame(bytes, EventWal::EncodeBatchPayload(seq, SampleBatches()[0]),
+                         kMaxWalRecordBytes);
   }
   WriteFileBytes(path, bytes);
   EXPECT_THROW((void)EventWal::Read(path), InternalError);
@@ -164,12 +160,7 @@ TEST(EventWal, TornTailCorpusTruncateFinalRecordAtEveryByte) {
   std::string prefix_two(full.begin(), full.end());
   const std::size_t final_start = [&] {
     std::size_t off = 8;
-    for (int rec = 0; rec < 2; ++rec) {
-      std::uint32_t len = 0;
-      for (int i = 0; i < 4; ++i)
-        len |= static_cast<std::uint32_t>(static_cast<unsigned char>(full[off + i])) << (8 * i);
-      off += 8 + len;
-    }
+    for (int rec = 0; rec < 2; ++rec) off += 8 + wire::LoadU32(&full[off]);
     return off;
   }();
   ASSERT_LT(final_start, full.size());
@@ -200,19 +191,9 @@ TEST(EventWal, BitFlipCorpusPrefixOrLoudNeverWrong) {
   const std::string path = dir.File("wal.log");
   const std::string full = WriteSampleWal(path);
 
-  const std::size_t second_start = [&] {
-    std::uint32_t len0 = 0;
-    for (int i = 0; i < 4; ++i)
-      len0 |= static_cast<std::uint32_t>(static_cast<unsigned char>(full[8 + i])) << (8 * i);
-    return 8 + 8 + static_cast<std::size_t>(len0);
-  }();
-  const std::size_t final_start = [&] {
-    std::uint32_t len1 = 0;
-    for (int i = 0; i < 4; ++i)
-      len1 |= static_cast<std::uint32_t>(static_cast<unsigned char>(full[second_start + i]))
-              << (8 * i);
-    return second_start + 8 + static_cast<std::size_t>(len1);
-  }();
+  const std::size_t second_start = 8 + 8 + std::size_t{wire::LoadU32(&full[8])};
+  const std::size_t final_start =
+      second_start + 8 + std::size_t{wire::LoadU32(&full[second_start])};
 
   // Flip every byte of the final record (header, crc, and payload).
   for (std::size_t at = final_start; at < full.size(); ++at) {

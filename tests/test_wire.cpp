@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +28,8 @@
 #include "serve/query.hpp"
 #include "serve/repl_link.hpp"
 #include "shard/boundary_table.hpp"
+#include "support/crc32.hpp"
+#include "support/wire.hpp"
 #include "tree/tree.hpp"
 #include "tree/tree_overlay.hpp"
 
@@ -453,6 +456,189 @@ TEST(WireGolden, NetFrameOverSocketpair) {
   EXPECT_EQ(back, payload);
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+// ---------------------------------------------------------------------------
+// support/wire.hpp itself.
+// ---------------------------------------------------------------------------
+
+// An error type no library code throws, so a catch proves the exact type.
+struct ProbeError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+TEST(WireReader, ReadsLittleEndianAndUnderrunThrowsItsErrorWithContext) {
+  std::string bytes;
+  wire::PutU8(bytes, 0xAB);
+  wire::PutU32(bytes, 0x01020304u);
+  wire::PutU64(bytes, 0x1122334455667788ull);
+  EXPECT_EQ(Hex(bytes), "ab040302018877665544332211");
+  EXPECT_EQ(wire::LoadU32(&bytes[1]), 0x01020304u);
+  EXPECT_EQ(wire::LoadU64(&bytes[5]), 0x1122334455667788ull);
+
+  wire::Reader<ProbeError> reader(bytes, "probe: payload");
+  EXPECT_EQ(reader.U8(), 0xAB);
+  EXPECT_EQ(reader.U32(), 0x01020304u);
+  EXPECT_FALSE(reader.Exhausted());
+  EXPECT_EQ(reader.U64(), 0x1122334455667788ull);
+  EXPECT_TRUE(reader.Exhausted());
+  try {
+    (void)reader.U8();
+    FAIL() << "reading past the end must throw";
+  } catch (const ProbeError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("probe: payload", 0), 0u) << e.what();
+  }
+
+  // A partial field is an underrun too: 3 bytes cannot make a u32.
+  wire::Reader<ProbeError> partial(std::string_view(bytes).substr(0, 4), "probe");
+  (void)partial.U8();
+  EXPECT_THROW((void)partial.U32(), ProbeError);
+  wire::Reader<ProbeError> partial64(std::string_view(bytes).substr(6), "probe");
+  EXPECT_THROW((void)partial64.U64(), ProbeError);
+}
+
+TEST(WireReader, CountRefusesWhatTheBytesLeftCannotHold) {
+  std::string bytes;
+  wire::PutU32(bytes, 2);  // two 4-byte items follow
+  wire::PutU32(bytes, 7);
+  wire::PutU32(bytes, 8);
+  wire::Reader<ProbeError> fits(bytes, "probe");
+  EXPECT_EQ(fits.Count(4), 2u);
+  EXPECT_EQ(fits.U32(), 7u);
+  EXPECT_EQ(fits.U32(), 8u);
+  EXPECT_TRUE(fits.Exhausted());
+
+  wire::Reader<ProbeError> wide(bytes, "probe");
+  EXPECT_THROW((void)wide.Count(5), ProbeError);  // 2 x 5 bytes > the 8 left
+
+  std::string huge;
+  wire::PutU32(huge, 0xFFFFFFFFu);
+  wire::Reader<ProbeError> empty_tail(huge, "probe: huge");
+  try {
+    (void)empty_tail.Count(1);
+    FAIL() << "a count over the bytes left must throw";
+  } catch (const ProbeError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("probe: huge", 0), 0u) << e.what();
+  }
+}
+
+TEST(WireFrame, ScanReportsEachOutcome) {
+  std::string frame;
+  wire::AppendCrcFrame(frame, "payload", 64);
+  ASSERT_EQ(frame.size(), wire::kFrameHeaderBytes + 7);
+  EXPECT_EQ(Hex(frame.substr(0, 4)), "07000000");
+  EXPECT_EQ(wire::LoadU32(&frame[4]), support::Crc32("payload"));
+
+  const wire::FrameScan ok = wire::ScanCrcFrame(frame, 64);
+  EXPECT_EQ(ok.status, wire::FrameStatus::kOk);
+  EXPECT_EQ(ok.payload, "payload");
+  // Bytes past the frame belong to the next one.
+  EXPECT_EQ(wire::ScanCrcFrame(frame + "next", 64).payload, "payload");
+
+  EXPECT_EQ(wire::ScanCrcFrame(std::string_view(frame).substr(0, 7), 64).status,
+            wire::FrameStatus::kTruncated);  // header cut short
+  EXPECT_EQ(wire::ScanCrcFrame(std::string_view(frame).substr(0, frame.size() - 1), 64).status,
+            wire::FrameStatus::kTruncated);  // payload cut short
+  EXPECT_EQ(wire::ScanCrcFrame(frame, 6).status, wire::FrameStatus::kTooLong);
+  for (const std::size_t at : {std::size_t{4}, frame.size() - 1}) {
+    std::string flipped = frame;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x01);  // the CRC, then the payload
+    EXPECT_EQ(wire::ScanCrcFrame(flipped, 64).status, wire::FrameStatus::kBadCrc) << at;
+  }
+
+  std::string refused;
+  EXPECT_THROW(wire::AppendCrcFrame(refused, "payload", 6), InternalError);
+}
+
+// ---------------------------------------------------------------------------
+// CRC-valid records whose count field claims more items than their bytes
+// hold: each format refuses with its own error, before any allocation that
+// count would size.
+// ---------------------------------------------------------------------------
+
+void ExpectWalRefuses(const std::string& payload) {
+  const std::string record = EventWal::FrameRecord(payload);
+  EXPECT_THROW((void)EventWal::TryDecodeFramedRecord(record), InternalError);
+
+  const TempDir dir;
+  WriteFileBytes(dir.File("wal.log"), std::string("RPTWAL1\0", 8) + record);
+  EXPECT_THROW((void)EventWal::Read(dir.File("wal.log")), InternalError);
+}
+
+TEST(WireCraftedCount, WalEventCountThrowsInternalError) {
+  std::string payload;
+  wire::PutU64(payload, 1);            // seq
+  wire::PutU32(payload, 0xFFFFFFFEu);  // event count, one below kEpochMarker
+  ExpectWalRefuses(payload);
+}
+
+TEST(WireCraftedCount, WalSpecNodeCountThrowsInternalError) {
+  std::string payload;
+  wire::PutU64(payload, 1);  // seq
+  wire::PutU32(payload, 1);  // one event
+  wire::PutU8(payload, static_cast<std::uint8_t>(UpdateEvent::Kind::kAttachSubtree));
+  wire::PutU32(payload, 0);            // client
+  wire::PutU64(payload, 0);            // delta
+  wire::PutU64(payload, 0);            // value
+  wire::PutU32(payload, 0);            // parent
+  wire::PutU32(payload, 0xFFFFFFFFu);  // spec-node count
+  ExpectWalRefuses(payload);
+}
+
+/// A btab file holding one record, framed exactly as EncodeBtab frames.
+std::string BtabWithRecord(const std::string& record) {
+  std::string body;
+  wire::AppendCrcFrame(body, record, shard::kMaxBtabRecordBytes);
+  std::string header;
+  wire::PutU32(header, 1);  // version
+  wire::PutU32(header, 1);  // record count
+  wire::PutU64(header, body.size());
+  std::string out(shard::kBtabMagic, sizeof(shard::kBtabMagic));
+  wire::AppendCrcFrame(out, header, shard::kMaxBtabRecordBytes);
+  return out + body;
+}
+
+/// The head of a fragment record: kind, cut and budget.
+std::string FragmentHead() {
+  std::string record;
+  wire::PutU8(record, 2);   // FRAGMENT
+  wire::PutU32(record, 17);  // cut
+  wire::PutU64(record, 3);   // budget
+  return record;
+}
+
+TEST(WireCraftedCount, BtabReplicaCountThrowsInvalidArgument) {
+  std::string record = FragmentHead();
+  wire::PutU32(record, 0xFFFFFFFFu);  // replica count
+  EXPECT_THROW((void)shard::DecodeBtab(BtabWithRecord(record)), InvalidArgument);
+}
+
+TEST(WireCraftedCount, BtabAssignmentCountThrowsInvalidArgument) {
+  std::string record = FragmentHead();
+  wire::PutU32(record, 0);            // no replicas
+  wire::PutU32(record, 0xFFFFFFFFu);  // assignment count
+  EXPECT_THROW((void)shard::DecodeBtab(BtabWithRecord(record)), InvalidArgument);
+}
+
+TEST(WireCraftedCount, BtabForwardedCountThrowsInvalidArgument) {
+  std::string record = FragmentHead();
+  wire::PutU32(record, 0);            // no replicas
+  wire::PutU32(record, 0);            // no assignments
+  wire::PutU32(record, 0xFFFFFFFFu);  // forwarded count
+  EXPECT_THROW((void)shard::DecodeBtab(BtabWithRecord(record)), InvalidArgument);
+}
+
+TEST(WireCraftedCount, BtabTableCostRangeThrowsInvalidArgument) {
+  std::string record;
+  wire::PutU8(record, 1);    // TABLE
+  wire::PutU32(record, 17);  // cut
+  wire::PutU64(record, 6);   // demand
+  wire::PutU32(record, 9);   // subtree nodes
+  wire::PutU64(record, 0);   // table entries
+  wire::PutU64(record, 0);   // convolve cells
+  wire::PutU32(record, 0);   // vmin
+  wire::PutU32(record, (1u << 26) - 2);  // vmax: 2^26 - 1 inv entries, none present
+  EXPECT_THROW((void)shard::DecodeBtab(BtabWithRecord(record)), InvalidArgument);
 }
 
 }  // namespace
