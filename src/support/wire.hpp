@@ -73,9 +73,7 @@ class Reader {
   /// Throws unless `count` items of at least `min_item_bytes` each fit in
   /// the bytes left: a corrupt count must not size an allocation.
   void CheckCount(std::uint64_t count, std::size_t min_item_bytes) const {
-    if (count > (bytes_.size() - pos_) / min_item_bytes) {
-      Fail("count " + std::to_string(count) + " exceeds the bytes left");
-    }
+    if (count > (bytes_.size() - pos_) / min_item_bytes) FailCount(count);
   }
 
   [[nodiscard]] bool Exhausted() const { return pos_ == bytes_.size(); }
@@ -89,8 +87,12 @@ class Reader {
     return v;
   }
 
-  [[noreturn]] void Fail(const std::string& what) const {
+  [[noreturn]] void Fail(const char* what) const {
     throw Error(std::string(context_) + " " + what);
+  }
+  [[noreturn]] void FailCount(std::uint64_t count) const {
+    throw Error(std::string(context_) + " count " + std::to_string(count) +
+                " exceeds the bytes left");
   }
 
   std::string_view bytes_;
