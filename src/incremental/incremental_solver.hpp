@@ -38,11 +38,11 @@
 //    is unchanged.
 //
 // Policies: Policy::kMultiple runs the incremental DP (or its from-scratch
-// oracle under Engine::kFullResolve). Policy::kSingle owns the analogous
-// SingleNodEngine: the bundle pass is just as local as the DP (a node's
-// forwarded bundles depend only on its subtree's demands and W), so the
-// same dirty-chain recompute applies — under Engine::kFullResolve it falls
-// back to the full batch pass over the view, which doubles as the oracle.
+// oracle under Engine::kFullResolve). Policy::kSingle re-runs the single-nod
+// bundle pass (single/single_nod.hpp) over the current view on every
+// re-solve, under either engine, and counts each one as a full recompute:
+// the pass is near-linear, and a re-solve must rebuild and canonicalize the
+// whole solution anyway, so per-node caches of the pass would save little.
 // Both policies require a NoD instance (no distance constraint).
 //
 // Ownership/lifetime: the solver keeps a reference to the instance's Tree
@@ -60,7 +60,6 @@
 #include "model/instance.hpp"
 #include "model/solution.hpp"
 #include "multiple/nod_dp_engine.hpp"
-#include "single/single_nod_engine.hpp"
 #include "tree/topology_view.hpp"
 #include "tree/tree_overlay.hpp"
 
@@ -72,7 +71,7 @@ struct IncrementalStats {
   std::uint64_t events_applied = 0;   ///< events across all Apply() batches
   std::uint64_t topology_events = 0;  ///< attach/detach/migrate/link events among them
   std::uint64_t resolves = 0;         ///< Apply() batches processed (incl. the initial solve)
-  std::uint64_t full_recomputes = 0;  ///< re-solves that processed every node
+  std::uint64_t full_recomputes = 0;  ///< re-solves that processed every node (all kSingle ones)
   std::uint64_t nodes_recomputed = 0; ///< DP nodes re-processed across all re-solves
   std::uint64_t nodes_reused = 0;     ///< DP nodes whose tables were reused verbatim
 };
@@ -181,11 +180,9 @@ class IncrementalSolver {
   std::vector<Requests> demand_;  // source of truth, mirrored into the engine
   Requests total_demand_ = 0;
   /// Long-lived DP tables; engaged only for (kMultiple, kIncremental) — the
-  /// full-resolve oracles never warm any state, so they skip the engines'
-  /// O(n) columns entirely.
+  /// full-resolve oracle and the single policy keep no warm state, so they
+  /// skip the engine's O(n) columns entirely.
   std::optional<multiple::NodDpEngine> engine_;
-  /// Long-lived bundle caches; engaged only for (kSingle, kIncremental).
-  std::optional<single::SingleNodEngine> single_engine_;
   Solution solution_;
   bool feasible_ = false;
   IncrementalStats stats_;

@@ -191,8 +191,8 @@ EventWal::~EventWal() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::string EventWal::EncodeBatchPayload(
-    std::uint64_t seq, const std::vector<UpdateEvent>& events) {
+std::string EventWal::EncodeBatchPayload(std::uint64_t seq,
+                                         std::span<const UpdateEvent> events) {
   std::string payload;
   wire::PutU64(payload, seq);
   wire::PutU32(payload, static_cast<std::uint32_t>(events.size()));
@@ -323,15 +323,15 @@ EventWal EventWal::OpenForAppend(const std::string& path, bool sync) {
   return wal;
 }
 
-void EventWal::Append(std::uint64_t seq, const std::vector<UpdateEvent>& events) {
-  AppendPayload(seq, EncodeBatchPayload(seq, events));
+std::string EventWal::Append(std::uint64_t seq, std::span<const UpdateEvent> events) {
+  return AppendPayload(seq, EncodeBatchPayload(seq, events));
 }
 
 void EventWal::AppendEpoch(std::uint64_t seq, std::uint64_t epoch) {
   AppendPayload(seq, EncodeEpochPayload(seq, epoch));
 }
 
-void EventWal::AppendPayload(std::uint64_t seq, const std::string& payload) {
+std::string EventWal::AppendPayload(std::uint64_t seq, const std::string& payload) {
   RPT_CHECK(fd_ >= 0);  // Append on a moved-from handle is a caller bug
   if (seq <= last_seq_) {
     throw InvalidArgument("event_wal: seq " + std::to_string(seq) +
@@ -373,6 +373,7 @@ void EventWal::AppendPayload(std::uint64_t seq, const std::string& payload) {
 
   committed_bytes_ += record.size();
   last_seq_ = seq;
+  return record;
 }
 
 void EventWal::TrimThrough(const std::string& path, std::uint64_t through_seq) {

@@ -86,6 +86,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -141,14 +142,15 @@ class EventWal {
   [[nodiscard]] static EventWal OpenForAppend(const std::string& path,
                                               bool sync = true);
 
-  /// Serializes and appends one batch record. On an injected or real I/O
-  /// failure the file is truncated back to the last committed record and
-  /// InternalError is thrown (the append simply never happened); an
-  /// injected crash (fail::InjectedFault / process exit) leaves the torn
-  /// tail in place for recovery to find. `seq` must exceed the last
-  /// committed seq.
-  void Append(std::uint64_t seq,
-              const std::vector<incremental::UpdateEvent>& events);
+  /// Serializes and appends one batch record, and returns the framed
+  /// record it committed (the bytes the replication link ships). On an
+  /// injected or real I/O failure the file is truncated back to the last
+  /// committed record and InternalError is thrown (the append simply never
+  /// happened); an injected crash (fail::InjectedFault / process exit)
+  /// leaves the torn tail in place for recovery to find. `seq` must exceed
+  /// the last committed seq.
+  std::string Append(std::uint64_t seq,
+                     std::span<const incremental::UpdateEvent> events);
 
   /// Appends one epoch record (the durable fencing token of a promoted
   /// follower). Same failure/repair semantics as Append.
@@ -169,7 +171,7 @@ class EventWal {
   /// Serializes one batch payload (exposed for the corpus tests, which
   /// need to know CRC-covered byte ranges to flip).
   [[nodiscard]] static std::string EncodeBatchPayload(
-      std::uint64_t seq, const std::vector<incremental::UpdateEvent>& events);
+      std::uint64_t seq, std::span<const incremental::UpdateEvent> events);
 
   /// Serializes one epoch-record payload.
   [[nodiscard]] static std::string EncodeEpochPayload(std::uint64_t seq,
@@ -192,7 +194,7 @@ class EventWal {
  private:
   EventWal() = default;
 
-  void AppendPayload(std::uint64_t seq, const std::string& payload);
+  std::string AppendPayload(std::uint64_t seq, const std::string& payload);
 
   int fd_ = -1;
   std::string path_;

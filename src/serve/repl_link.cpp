@@ -330,8 +330,7 @@ bool ReplPrimary::Apply(std::span<const incremental::UpdateEvent> events) {
   frame.kind = ReplFrameKind::kRecord;
   frame.epoch = harness_.Epoch();
   frame.hash = harness_.Pin()->CanonicalHash();
-  frame.record = EventWal::FrameRecord(EventWal::EncodeBatchPayload(
-      seq, std::vector<incremental::UpdateEvent>(events.begin(), events.end())));
+  frame.record = harness_.LastBatchRecord();  // the bytes the local WAL committed
   BroadcastRecord(EncodeReplFrame(frame), seq);
 
   bool all_acked;

@@ -172,8 +172,7 @@ bool ServeHarness::ApplyAndPublish(std::span<const incremental::UpdateEvent> eve
     // InjectedFault (crash simulation) propagates with the torn tail left
     // on disk for RecoverFrom to truncate.
     try {
-      wal_->Append(seq_ + 1, std::vector<incremental::UpdateEvent>(
-                                 events.begin(), events.end()));
+      last_batch_record_ = wal_->Append(seq_ + 1, events);
     } catch (const InternalError&) {
       stale_.store(true, std::memory_order_relaxed);
       throw;

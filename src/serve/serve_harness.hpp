@@ -199,6 +199,14 @@ class ServeHarness {
   /// index: everything up to and including it survived.
   [[nodiscard]] std::uint64_t LastDurableSeq() const noexcept { return seq_; }
 
+  /// The framed WAL record (len | crc | payload) of the last batch
+  /// ApplyAndPublish logged, rejected batches included, byte for byte as on
+  /// disk: what replication ships. Empty before this harness's first
+  /// logged batch and in non-durable mode. Update thread only.
+  [[nodiscard]] const std::string& LastBatchRecord() const noexcept {
+    return last_batch_record_;
+  }
+
   /// Batches replayed from the WAL tail by RecoverFrom (0 for a directly
   /// constructed harness).
   [[nodiscard]] std::uint64_t RecoveredBatches() const noexcept {
@@ -237,6 +245,7 @@ class ServeHarness {
   DurabilityOptions durability_;
   std::optional<EventWal> wal_;
   std::uint64_t seq_ = 0;                   ///< last WAL-committed batch seq
+  std::string last_batch_record_;           ///< framed WAL record of the last logged batch
   std::uint64_t applies_since_checkpoint_ = 0;
   std::uint64_t recovered_batches_ = 0;
   std::uint64_t checkpoint_failures_ = 0;

@@ -61,7 +61,8 @@ struct ReplayConfig {
   /// Re-planning engine for streaming mode (ignored when trace is empty).
   incremental::Engine engine = incremental::Engine::kIncremental;
   /// Re-planning policy for streaming mode: kMultiple (incremental DP) or
-  /// kSingle (overlay single-nod pass). Ignored when trace is empty.
+  /// kSingle (the single-nod batch pass, re-run on every batch). Ignored
+  /// when trace is empty.
   Policy policy = Policy::kMultiple;
   /// Streaming-mode hook fired exactly when the plan may have changed: once
   /// after the initial solve (tick = 0, before any arrivals) and once after

@@ -121,12 +121,6 @@ SingleNodResult SolveSingleNod(const Instance& instance, const SingleNodOptions&
   return SolveSingleNodImpl(tree, instance.Capacity(), tree.RequestsColumn(), options);
 }
 
-SingleNodResult SolveSingleNod(const Tree& tree, Requests capacity,
-                               std::span<const Requests> demands,
-                               const SingleNodOptions& options) {
-  return SolveSingleNod(TopologyView(tree), capacity, demands, options);
-}
-
 SingleNodResult SolveSingleNod(TopologyView view, Requests capacity,
                                std::span<const Requests> demands,
                                const SingleNodOptions& options) {

@@ -54,21 +54,14 @@ struct SingleNodOptions {
 [[nodiscard]] SingleNodResult SolveSingleNod(const Instance& instance,
                                              const SingleNodOptions& options = {});
 
-/// Demand-overlay form: runs Algorithm 2 on `tree` with client i issuing
-/// `demands[i]` requests (indexed by NodeId, size == tree.Size(); internal
-/// entries must be 0) instead of the tree's own request column. Requires
-/// every demand <= capacity; throws InvalidArgument otherwise. Byte-identical
-/// to the Instance form on Tree::WithRequests(demands) — this is the
-/// zero-materialization single-policy pass the incremental re-solver
-/// (src/incremental/) runs after each demand update.
-[[nodiscard]] SingleNodResult SolveSingleNod(const Tree& tree, Requests capacity,
-                                             std::span<const Requests> demands,
-                                             const SingleNodOptions& options = {});
-
-/// Topology-view form: the demand-overlay pass over either backend (base
-/// Tree or mutated TreeOverlay). Dead overlay ids must carry demand 0 and
-/// are skipped entirely; over a base Tree this is byte-identical to the
-/// Tree form above.
+/// Demand-overlay form over either backend (base Tree or mutated
+/// TreeOverlay): client i issues `demands[i]` requests (indexed by NodeId,
+/// size == view.Size(); internal and dead entries must be 0) instead of the
+/// view's own request column, and dead overlay ids are skipped entirely.
+/// Requires every demand <= capacity; throws InvalidArgument otherwise. Over
+/// a base Tree this is byte-identical to the Instance form on
+/// Tree::WithRequests(demands). It is the pass IncrementalSolver's single
+/// policy runs on every re-solve, with no instance materialized.
 [[nodiscard]] SingleNodResult SolveSingleNod(TopologyView view, Requests capacity,
                                              std::span<const Requests> demands,
                                              const SingleNodOptions& options = {});

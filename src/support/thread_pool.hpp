@@ -166,14 +166,6 @@ void ParallelForChunked(ThreadPool* pool, std::size_t count, std::size_t grain, 
   if (state.error) std::rethrow_exception(std::exchange(state.error, nullptr));
 }
 
-/// Legacy per-index form; thin shim over ParallelForChunked (grain 1).
-inline void ParallelFor(ThreadPool& pool, std::size_t count,
-                        const std::function<void(std::size_t)>& body) {
-  ParallelForChunked(&pool, count, /*grain=*/1, [&body](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-  });
-}
-
 /// The process-wide pool for intra-solver parallelism (the level-synchronous
 /// Multiple-NoD DP). Lazily created on first call with the width set by
 /// SetSolverThreads. Returns nullptr when intra-solver parallelism is off

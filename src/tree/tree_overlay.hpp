@@ -45,11 +45,11 @@
 //  * dist-from-root stays below kNoDistanceLimit/2 everywhere (same bound
 //    the builder enforces).
 //
-// Compact() folds the overlay back into a clean CSR Tree via TreeBuilder
-// (parallel Build on large trees) and returns the old->new id remap. New
-// ids are assigned by a greedy min-old-id topological order that preserves
-// per-parent child order, so a never-mutated overlay compacts to the
-// identity remap and a byte-identical tree.
+// Compact() folds the overlay back into a clean CSR Tree via TreeBuilder's
+// serial Build and returns the old->new id remap. New ids are assigned by a
+// greedy min-old-id topological order that preserves per-parent child
+// order, so a never-mutated overlay compacts to the identity remap and a
+// byte-identical tree.
 //
 // Ownership: the overlay copies every column it needs out of the base tree
 // at construction; the base may be destroyed afterwards. Copyable (the

@@ -11,7 +11,9 @@
 //
 //  * Live-link tests run a real ReplPrimary + ReplFollower over loopback:
 //    clean shipping, per-frame link faults (drop / dup / reorder) healing
-//    through resync, and the follower bit on query responses.
+//    through resync, and the follower bit on query responses. A raw socket
+//    subscriber checks that the shipped records are the primary's WAL
+//    bytes.
 //
 //  * The failover oracle matrix (sim::RunPartitionFailover) sweeps
 //    partition kind × fault position × follower-crash-before-promote ×
@@ -28,6 +30,9 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,6 +47,7 @@
 #include "serve/tcp_server.hpp"
 #include "sim/partition.hpp"
 #include "support/failpoint.hpp"
+#include "support/wire.hpp"
 
 namespace rpt::serve {
 namespace {
@@ -351,6 +357,68 @@ TEST(ReplLink, ShipsATraceAndConverges) {
     return pair.primary->Watermark() >= trace.size();
   }));
   EXPECT_EQ(pair.follower->Core().Applied(), trace.size());
+}
+
+// What ships is what the primary's WAL committed: a raw subscriber's RECORD
+// frames carry, byte for byte, the records of the primary's wal.log — for a
+// rejected batch too, which is logged before the solver refuses it.
+TEST(ReplLink, ShippedRecordsAreTheWalBytes) {
+  const Instance instance = MakeInstance(39);
+  const TempDir dir;
+  ServeHarness harness(instance, {}, Durable(dir.path));
+  ReplPrimaryOptions options;
+  options.io_timeout_ms = 200;
+  options.ack_wait_ms = 0;  // the raw subscriber never acks
+  ReplPrimary primary(harness, options);
+  primary.Start();
+
+  struct Socket {
+    int fd;
+    ~Socket() { net::CloseQuiet(fd); }
+  } const subscriber{net::ConnectLoopback(
+      primary.Port(), /*connect_timeout_ms=*/2000, /*io_timeout_ms=*/2000,
+      [](const std::string& what, bool) { throw InternalError(what); })};
+  ReplFrame hello;
+  hello.kind = ReplFrameKind::kHello;
+  hello.epoch = harness.Epoch();
+  ASSERT_EQ(net::SendFrame(subscriber.fd, EncodeReplFrame(hello)), net::IoStatus::kOk);
+  ASSERT_TRUE(primary.WaitForFollowers(1, 5000));
+
+  const std::vector<UpdateEvent> accepted{UpdateEvent::DemandDelta(31, 2),
+                                          UpdateEvent::DemandDelta(32, 1)};
+  const std::vector<UpdateEvent> rejected{UpdateEvent::DemandDelta(31, -1000)};
+  (void)primary.Apply(accepted);
+  EXPECT_THROW((void)primary.Apply(rejected), InvalidArgument);
+  ASSERT_EQ(harness.LastDurableSeq(), 2u);
+
+  std::vector<std::string> shipped;
+  std::string payload;
+  while (shipped.size() < 2) {
+    ASSERT_EQ(net::RecvFrame(subscriber.fd, payload, kMaxReplFrameBytes), net::IoStatus::kOk);
+    const std::optional<ReplFrame> frame = DecodeReplFrame(payload);
+    ASSERT_TRUE(frame.has_value());
+    ASSERT_EQ(frame->kind, ReplFrameKind::kRecord);
+    shipped.push_back(frame->record);
+  }
+
+  // wal.log: an 8-byte magic, then len u32 | crc u32 | payload records.
+  std::ifstream in(dir.path + "/wal.log", std::ios::binary);
+  const std::string log((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::vector<std::string> logged;
+  for (std::size_t at = 8; at + wire::kFrameHeaderBytes <= log.size();) {
+    const std::size_t size = wire::kFrameHeaderBytes + wire::LoadU32(&log[at]);
+    logged.push_back(log.substr(at, size));
+    at += size;
+  }
+  ASSERT_EQ(logged.size(), 2u);
+  EXPECT_EQ(shipped[0], logged[0]);
+  EXPECT_EQ(shipped[1], logged[1]);
+  EXPECT_EQ(harness.LastBatchRecord(), logged[1]);
+
+  const std::optional<WalBatch> refused = EventWal::TryDecodeFramedRecord(shipped[1]);
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_EQ(refused->seq, 2u);
+  EXPECT_EQ(refused->events.size(), rejected.size());
 }
 
 TEST(ReplLink, FollowerBitOnQueriesUntilPromotion) {

@@ -249,18 +249,6 @@ TEST(ThreadPool, PropagatesTaskException) {
   EXPECT_EQ(counter.load(), 1);
 }
 
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(3);
-  std::vector<int> hits(1000, 0);
-  ParallelFor(pool, hits.size(), [&hits](std::size_t i) { hits[i] += 1; });
-  for (const int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPool, ParallelForZeroIterations) {
-  ThreadPool pool(2);
-  ParallelFor(pool, 0, [](std::size_t) { FAIL() << "must not be called"; });
-}
-
 TEST(ThreadPool, ParallelForChunkedCoversRangeNotDivisibleByGrain) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(103);
