@@ -23,34 +23,12 @@
 #include <string>
 
 #include "gen/random_tree.hpp"
+#include "model/solution.hpp"
 #include "multiple/multiple_nod_dp.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/worker.hpp"
 #include "support/cli.hpp"
 #include "support/thread_pool.hpp"
-
-namespace {
-
-// Canonical-solution fingerprint (FNV-1a), the repo's golden-test hash: two
-// solutions hash equal iff their canonical forms are byte-identical.
-std::uint64_t HashSolution(const rpt::Solution& solution) {
-  std::uint64_t hash = 1469598103934665603ull;
-  const auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  mix(solution.replicas.size());
-  for (const rpt::NodeId id : solution.replicas) mix(id);
-  mix(solution.assignment.size());
-  for (const rpt::ServiceEntry& entry : solution.assignment) {
-    mix(entry.client);
-    mix(entry.server);
-    mix(entry.amount);
-  }
-  return hash;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace rpt;
@@ -110,7 +88,7 @@ int main(int argc, char** argv) {
   std::printf("rpt-shard: %s, k=%u, mode=%s\n", instance.Summary().c_str(), options.shards,
               mode.c_str());
   const shard::ShardedSolveResult sharded = shard::SolveSharded(instance, options);
-  const std::uint64_t hash = HashSolution(sharded.solution);
+  const std::uint64_t hash = CanonicalSolutionHash(sharded.solution);
   std::printf("plan: %u shard(s), %u cut(s), spine %u nodes\n", sharded.stats.shard_count,
               sharded.stats.cut_count, sharded.stats.spine_nodes);
   std::printf("wire: %llu boundary bytes; tables %llu worker + %llu spine entries\n",
@@ -152,10 +130,10 @@ int main(int argc, char** argv) {
     const auto oracle = multiple::SolveMultipleNodDp(instance);
     const bool ok = oracle.feasible == sharded.feasible &&
                     oracle.solution.ReplicaCount() == sharded.solution.ReplicaCount() &&
-                    HashSolution(oracle.solution) == hash;
+                    CanonicalSolutionHash(oracle.solution) == hash;
     std::printf("verify: unsharded cost %zu hash %llu -> %s\n",
                 oracle.solution.ReplicaCount(),
-                static_cast<unsigned long long>(HashSolution(oracle.solution)),
+                static_cast<unsigned long long>(CanonicalSolutionHash(oracle.solution)),
                 ok ? "IDENTICAL" : "MISMATCH");
     if (!ok) return 1;
   }

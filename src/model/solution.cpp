@@ -33,6 +33,24 @@ void Solution::Canonicalize() {
   assignment.resize(out);
 }
 
+std::uint64_t CanonicalSolutionHash(Solution solution) {
+  solution.Canonicalize();
+  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a offset basis
+  const auto mix = [&hash](std::uint64_t value) {
+    hash ^= value;
+    hash *= 1099511628211ull;  // FNV-1a prime
+  };
+  mix(solution.replicas.size());
+  for (const NodeId id : solution.replicas) mix(id);
+  mix(solution.assignment.size());
+  for (const ServiceEntry& entry : solution.assignment) {
+    mix(entry.client);
+    mix(entry.server);
+    mix(entry.amount);
+  }
+  return hash;
+}
+
 Solution MapNodeIds(const Solution& solution, std::span<const NodeId> map) {
   const auto remap = [&map](NodeId id) {
     RPT_REQUIRE(id < map.size() && map[id] != kInvalidNode,

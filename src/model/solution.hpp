@@ -41,6 +41,11 @@ struct Solution {
   void Canonicalize();
 };
 
+/// FNV-1a fingerprint of the canonical form of `solution` (Canonicalize()),
+/// the one the golden tests pin: equal fingerprints stand for byte-identical
+/// canonical solutions. A canonical input hashes as it is.
+[[nodiscard]] std::uint64_t CanonicalSolutionHash(Solution solution);
+
 /// Per-server load summary derived from a solution.
 struct LoadSummary {
   Requests max_load = 0;    ///< heaviest server load

@@ -2,7 +2,10 @@
 // the query front-end (tcp_server.cpp) and the replication link
 // (repl_link.cpp). Both speak the same outer framing — a 4-byte
 // little-endian length prefix followed by that many payload bytes — over
-// loopback TCP with SO_RCVTIMEO/SO_SNDTIMEO bounding every operation.
+// loopback TCP with SO_RCVTIMEO/SO_SNDTIMEO bounding every operation. The
+// server side of both runs on one ConnServer (conn_server.hpp), which owns
+// the listener and joins each connection's handler once it ends; these
+// helpers are what the handlers and the clients read and write with.
 //
 // This is an implementation header (included from .cpp files only): it
 // pulls in <sys/socket.h> and friends, which the public headers keep out
@@ -32,17 +35,23 @@ enum class IoStatus { kOk, kClosed, kTimeout };
 // Full-buffer read/write with EINTR retry. With SO_RCVTIMEO/SO_SNDTIMEO set,
 // an expired wait surfaces as EAGAIN/EWOULDBLOCK — reported as kTimeout so
 // callers can count it or throw TimeoutError; EOF and hard errors are
-// kClosed ("connection over" either way).
-inline IoStatus ReadFull(int fd, std::uint8_t* buf, std::size_t len) {
+// kClosed ("connection over" either way). ReadFull gives up after
+// `max_stall_ticks` consecutive expired waits (every byte that arrives
+// restarts the count), so a short SO_RCVTIMEO can serve as a poll interval
+// without bailing out mid-frame, and a peer frozen mid-frame still ends.
+inline IoStatus ReadFull(int fd, std::uint8_t* buf, std::size_t len,
+                         int max_stall_ticks = 1) {
   std::size_t done = 0;
+  int stalls = 0;
   while (done < len) {
     const ssize_t n = ::read(fd, buf + done, len - done);
     if (n > 0) {
       done += static_cast<std::size_t>(n);
+      stalls = 0;
     } else if (n < 0 && errno == EINTR) {
       continue;
     } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return IoStatus::kTimeout;
+      if (++stalls >= max_stall_ticks) return IoStatus::kTimeout;
     } else {
       return IoStatus::kClosed;
     }
@@ -100,8 +109,7 @@ int ConnectLoopback(std::uint16_t port, int connect_timeout_ms,
                     int io_timeout_ms, FailFn&& on_fail) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   RPT_CHECK(fd >= 0);
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SetNoDelay(fd);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -135,35 +143,6 @@ int ConnectLoopback(std::uint16_t port, int connect_timeout_ms,
   return fd;
 }
 
-/// Binds and listens on 127.0.0.1:`port` (0 = pick a free port). Returns
-/// {fd, bound port}; throws InternalError if the socket layer refuses.
-struct ListenSocket {
-  int fd = -1;
-  std::uint16_t port = 0;
-};
-
-inline ListenSocket ListenLoopback(std::uint16_t port, int backlog = 64) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  RPT_CHECK(fd >= 0);
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, backlog) != 0) {
-    const int err = errno;
-    CloseQuiet(fd);
-    throw InternalError(std::string("serve: bind/listen failed: ") +
-                        std::strerror(err));
-  }
-  socklen_t addr_len = sizeof(addr);
-  RPT_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) == 0);
-  return ListenSocket{fd, ntohs(addr.sin_port)};
-}
-
 /// Sends one length-prefixed frame. kOk only when prefix and payload both
 /// land fully. Prefix and payload go out in a single write: two small
 /// writes per frame would hand Nagle + delayed-ACK a ~40 ms stall on every
@@ -175,30 +154,6 @@ inline IoStatus SendFrame(int fd, const std::string& payload) {
   frame.append(payload);
   return WriteFull(fd, reinterpret_cast<const std::uint8_t*>(frame.data()),
                    frame.size());
-}
-
-/// ReadFull that rides through SO_RCVTIMEO expiries once a read has begun:
-/// used for the tail of a frame, where bailing out on an idle tick would
-/// leave the stream misaligned. Bounded — `max_stall_ticks` consecutive
-/// empty waits (peer froze mid-frame) report kClosed, never a silent hang.
-inline IoStatus ReadFullPatient(int fd, std::uint8_t* buf, std::size_t len,
-                                int max_stall_ticks) {
-  std::size_t done = 0;
-  int stalls = 0;
-  while (done < len) {
-    const ssize_t n = ::read(fd, buf + done, len - done);
-    if (n > 0) {
-      done += static_cast<std::size_t>(n);
-      stalls = 0;
-    } else if (n < 0 && errno == EINTR) {
-      continue;
-    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (++stalls >= max_stall_ticks) return IoStatus::kClosed;
-    } else {
-      return IoStatus::kClosed;
-    }
-  }
-  return IoStatus::kOk;
 }
 
 /// Receives one length-prefixed frame into `payload`. kClosed on EOF or a
@@ -216,14 +171,14 @@ inline IoStatus RecvFrame(int fd, std::string& payload, std::uint32_t max_bytes,
   std::uint8_t prefix[4];
   const IoStatus first = ReadFull(fd, prefix, 1);
   if (first != IoStatus::kOk) return first;  // clean boundary: frame not begun
-  const IoStatus rest = ReadFullPatient(fd, prefix + 1, 3, max_stall_ticks);
+  const IoStatus rest = ReadFull(fd, prefix + 1, 3, max_stall_ticks);
   if (rest != IoStatus::kOk) return IoStatus::kClosed;
   const std::uint32_t len = wire::LoadU32(prefix);
   if (len > max_bytes) return IoStatus::kClosed;
   payload.resize(len);
   if (len == 0) return IoStatus::kOk;
-  const IoStatus ps = ReadFullPatient(
-      fd, reinterpret_cast<std::uint8_t*>(payload.data()), len, max_stall_ticks);
+  const IoStatus ps = ReadFull(fd, reinterpret_cast<std::uint8_t*>(payload.data()), len,
+                              max_stall_ticks);
   return ps == IoStatus::kOk ? IoStatus::kOk : IoStatus::kClosed;
 }
 

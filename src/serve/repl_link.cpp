@@ -150,73 +150,25 @@ FollowerCore::Outcome FollowerCore::OnRecord(std::uint64_t sender_epoch,
 // ReplPrimary
 
 struct ReplPrimary::FollowerConn {
-  explicit FollowerConn(int fd_in) : fd(fd_in), sender(fd_in) {}
-  int fd;
+  explicit FollowerConn(int fd) : sender(fd) {}
   FaultySender sender;
-  std::uint64_t acked = 0;   // guarded by ReplPrimary::mu_
-  bool subscribed = false;   // HELLO seen — guarded by mu_
-  bool gone = false;         // handler exited — guarded by mu_
+  std::uint64_t acked = 0;  // guarded by ReplPrimary::mu_
 };
 
 ReplPrimary::ReplPrimary(ServeHarness& harness, ReplPrimaryOptions options)
-    : harness_(harness), options_(options) {}
-
-ReplPrimary::~ReplPrimary() { Stop(); }
+    : harness_(harness), options_(options),
+      server_({options.io_timeout_ms, /*max_connections=*/0},
+              [this](int fd) { ServeFollower(fd); }) {
+  RPT_REQUIRE(harness.Durable(),
+              "ReplPrimary: the harness must be durable (followers replay its WAL records)");
+}
 
 void ReplPrimary::Start(std::uint16_t port) {
-  RPT_REQUIRE(!running_.load(std::memory_order_acquire),
-              "ReplPrimary: already started");
-  const net::ListenSocket listener = net::ListenLoopback(port);
-  listen_fd_ = listener.fd;
-  port_ = listener.port;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     base_seq_ = harness_.LastDurableSeq();
   }
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread(&ReplPrimary::AcceptLoop, this);
-}
-
-void ReplPrimary::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& conn : conns_) {
-      if (!conn->gone) ::shutdown(conn->fd, SHUT_RDWR);
-    }
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  net::CloseQuiet(listen_fd_);
-  listen_fd_ = -1;
-}
-
-void ReplPrimary::AcceptLoop() {
-  while (running_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    net::SetNoDelay(fd);  // RECORDs must not wait out Nagle behind an ack
-    net::SetIoTimeouts(fd, options_.io_timeout_ms);
-    auto conn = std::make_shared<FollowerConn>(fd);
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (!running_.load(std::memory_order_acquire)) {
-      net::CloseQuiet(fd);
-      break;
-    }
-    conns_.push_back(conn);
-    conn_threads_.emplace_back(&ReplPrimary::ServeFollower, this, conn);
-  }
+  server_.Start(port);
 }
 
 void ReplPrimary::ShipRetainedFrom(FollowerConn& conn, std::uint64_t after_seq) {
@@ -229,12 +181,15 @@ void ReplPrimary::ShipRetainedFrom(FollowerConn& conn, std::uint64_t after_seq) 
   }
 }
 
-void ReplPrimary::ServeFollower(std::shared_ptr<FollowerConn> conn) {
-  std::string payload;
+void ReplPrimary::ServeFollower(int fd) {
+  // Subscribed = in conns_: HELLO adds the connection, and it leaves before
+  // this handler returns, so every FollowerConn in conns_ is live.
+  FollowerConn conn(fd);
+  bool subscribed = false;
   bool refuse = false;
-  while (!refuse && running_.load(std::memory_order_acquire)) {
-    const net::IoStatus st =
-        net::RecvFrame(conn->fd, payload, kMaxReplFrameBytes);
+  std::string payload;
+  while (!refuse) {
+    const net::IoStatus st = net::RecvFrame(fd, payload, kMaxReplFrameBytes);
     if (st == net::IoStatus::kTimeout) continue;  // idle follower is fine
     if (st == net::IoStatus::kClosed) break;
     const std::optional<ReplFrame> frame = DecodeReplFrame(payload);
@@ -250,26 +205,21 @@ void ReplPrimary::ServeFollower(std::shared_ptr<FollowerConn> conn) {
           refuse = true;
           break;
         }
-        conn->subscribed = true;
-        conn->acked = std::max(conn->acked, frame->seq);
-        ShipRetainedFrom(*conn, frame->seq);
+        if (!std::exchange(subscribed, true)) conns_.push_back(&conn);
+        conn.acked = std::max(conn.acked, frame->seq);
+        ShipRetainedFrom(conn, frame->seq);
         cv_.notify_all();
         break;
       }
       case ReplFrameKind::kAck: {
         const std::lock_guard<std::mutex> lock(mu_);
-        if (frame->seq > conn->acked) conn->acked = frame->seq;
-        // Watermark: the largest seq EVERY live subscribed follower has
-        // acked; monotone (a follower that dies does not roll it back —
-        // its acked writes are still on its disk).
+        conn.acked = std::max(conn.acked, frame->seq);
+        // Watermark: the largest seq EVERY subscribed follower has acked;
+        // monotone (a follower that dies does not roll it back — its acked
+        // writes are still on its disk).
         std::uint64_t floor = UINT64_MAX;
-        bool any = false;
-        for (const auto& c : conns_) {
-          if (c->gone || !c->subscribed) continue;
-          any = true;
-          floor = std::min(floor, c->acked);
-        }
-        if (any && floor > watermark_) watermark_ = floor;
+        for (const FollowerConn* c : conns_) floor = std::min(floor, c->acked);
+        if (!conns_.empty() && floor > watermark_) watermark_ = floor;
         cv_.notify_all();
         break;
       }
@@ -287,9 +237,8 @@ void ReplPrimary::ServeFollower(std::shared_ptr<FollowerConn> conn) {
   }
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    conn->gone = true;
+    std::erase(conns_, &conn);
   }
-  net::CloseQuiet(conn->fd);
   cv_.notify_all();
 }
 
@@ -297,10 +246,7 @@ void ReplPrimary::BroadcastRecord(const std::string& frame_payload,
                                   std::uint64_t seq) {
   const std::lock_guard<std::mutex> lock(mu_);
   retained_.push_back(Retained{seq, frame_payload});
-  for (const auto& conn : conns_) {
-    if (conn->gone || !conn->subscribed) continue;
-    conn->sender.Send(frame_payload);
-  }
+  for (FollowerConn* conn : conns_) conn->sender.Send(frame_payload);
 }
 
 bool ReplPrimary::Apply(std::span<const incremental::UpdateEvent> events) {
@@ -337,11 +283,8 @@ bool ReplPrimary::Apply(std::span<const incremental::UpdateEvent> events) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     const auto caught_up = [&] {
-      for (const auto& c : conns_) {
-        if (c->gone || !c->subscribed) continue;
-        if (c->acked < seq) return false;
-      }
-      return true;
+      return std::all_of(conns_.begin(), conns_.end(),
+                         [&](const FollowerConn* c) { return c->acked >= seq; });
     };
     if (options_.ack_wait_ms > 0) {
       all_acked = cv_.wait_for(
@@ -361,10 +304,7 @@ void ReplPrimary::Heartbeat() {
   const std::lock_guard<std::mutex> lock(mu_);
   frame.seq = watermark_;
   const std::string payload = EncodeReplFrame(frame);
-  for (const auto& conn : conns_) {
-    if (conn->gone || !conn->subscribed) continue;
-    conn->sender.Send(payload);
-  }
+  for (FollowerConn* conn : conns_) conn->sender.Send(payload);
 }
 
 std::uint64_t ReplPrimary::Watermark() const {
@@ -374,21 +314,13 @@ std::uint64_t ReplPrimary::Watermark() const {
 
 int ReplPrimary::Followers() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  int n = 0;
-  for (const auto& conn : conns_) {
-    if (!conn->gone && conn->subscribed) ++n;
-  }
-  return n;
+  return static_cast<int>(conns_.size());
 }
 
 bool ReplPrimary::WaitForFollowers(int count, int timeout_ms) {
   std::unique_lock<std::mutex> lock(mu_);
   return cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
-    int n = 0;
-    for (const auto& conn : conns_) {
-      if (!conn->gone && conn->subscribed) ++n;
-    }
-    return n >= count;
+    return static_cast<int>(conns_.size()) >= count;
   });
 }
 
@@ -413,14 +345,21 @@ bool ReplFollower::TryConnect() {
   } catch (const InternalError&) {
     return false;
   }
-  fd_.store(fd, std::memory_order_release);
+  {
+    const std::lock_guard<std::mutex> lock(fd_mu_);
+    fd_ = fd;
+  }
   sender_ = std::make_unique<FaultySender>(fd);
-  ReplFrame hello;
-  hello.kind = ReplFrameKind::kHello;
-  hello.epoch = harness_.Epoch();
-  hello.seq = harness_.LastDurableSeq();
-  sender_->Send(EncodeReplFrame(hello));
+  SendControl(ReplFrameKind::kHello);
   return true;
+}
+
+void ReplFollower::SendControl(ReplFrameKind kind) {
+  ReplFrame frame;
+  frame.kind = kind;
+  frame.epoch = harness_.Epoch();
+  frame.seq = harness_.LastDurableSeq();  // FENCE encodes the epoch only
+  sender_->Send(EncodeReplFrame(frame));
 }
 
 void ReplFollower::Start() {
@@ -439,11 +378,12 @@ void ReplFollower::Start() {
 
 void ReplFollower::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  const int fd = fd_.load(std::memory_order_acquire);
-  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+  {
+    const std::lock_guard<std::mutex> lock(fd_mu_);
+    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+  }
   if (link_thread_.joinable()) link_thread_.join();
-  net::CloseQuiet(fd_.load(std::memory_order_acquire));
-  fd_.store(-1, std::memory_order_release);
+  net::CloseQuiet(std::exchange(fd_, -1));
   sender_.reset();
 }
 
@@ -493,31 +433,20 @@ void ReplFollower::HandleFrame(const std::string& payload) {
             applied_seq_ = harness_.LastDurableSeq();
           }
           seq_cv_.notify_all();
-          ReplFrame ack;
-          ack.kind = ReplFrameKind::kAck;
-          ack.epoch = harness_.Epoch();
-          ack.seq = harness_.LastDurableSeq();
-          sender_->Send(EncodeReplFrame(ack));
+          SendControl(ReplFrameKind::kAck);
           // A record from a live primary is proof of life.
           last_heartbeat_ = std::chrono::steady_clock::now();
           break;
         }
         case FollowerCore::Outcome::kResync: {
-          ReplFrame hello;
-          hello.kind = ReplFrameKind::kHello;
-          hello.epoch = harness_.Epoch();
-          hello.seq = harness_.LastDurableSeq();
-          sender_->Send(EncodeReplFrame(hello));
+          SendControl(ReplFrameKind::kHello);
           last_heartbeat_ = std::chrono::steady_clock::now();
           break;
         }
         case FollowerCore::Outcome::kFenced: {
           // A stale-epoch sender gets told, loudly and repeatedly. NOT
           // proof of life: a deposed primary must not hold off anything.
-          ReplFrame fence;
-          fence.kind = ReplFrameKind::kFence;
-          fence.epoch = harness_.Epoch();
-          sender_->Send(EncodeReplFrame(fence));
+          SendControl(ReplFrameKind::kFence);
           break;
         }
       }
@@ -525,10 +454,7 @@ void ReplFollower::HandleFrame(const std::string& payload) {
     }
     case ReplFrameKind::kHeartbeat: {
       if (frame->epoch < harness_.Epoch()) {
-        ReplFrame fence;
-        fence.kind = ReplFrameKind::kFence;
-        fence.epoch = harness_.Epoch();
-        sender_->Send(EncodeReplFrame(fence));
+        SendControl(ReplFrameKind::kFence);
       } else {
         last_heartbeat_ = std::chrono::steady_clock::now();
       }
@@ -542,7 +468,7 @@ void ReplFollower::HandleFrame(const std::string& payload) {
 void ReplFollower::LinkLoop() {
   std::string payload;
   while (running_.load(std::memory_order_acquire)) {
-    if (fd_.load(std::memory_order_relaxed) < 0) {
+    if (fd_ < 0) {
       if (promoted_.load(std::memory_order_acquire)) {
         // Promoted and disconnected: nothing left to fence over this link.
         std::this_thread::sleep_for(
@@ -557,8 +483,7 @@ void ReplFollower::LinkLoop() {
         continue;
       }
     }
-    const net::IoStatus st = net::RecvFrame(fd_.load(std::memory_order_relaxed),
-                                            payload, kMaxReplFrameBytes);
+    const net::IoStatus st = net::RecvFrame(fd_, payload, kMaxReplFrameBytes);
     if (st == net::IoStatus::kTimeout) {
       // Silence tick: the wire is up but nothing is flowing — exactly the
       // window a dead-but-connected primary shows.
@@ -566,8 +491,10 @@ void ReplFollower::LinkLoop() {
       continue;
     }
     if (st == net::IoStatus::kClosed) {
-      net::CloseQuiet(fd_.load(std::memory_order_relaxed));
-      fd_.store(-1, std::memory_order_release);
+      {
+        const std::lock_guard<std::mutex> lock(fd_mu_);  // see fd_
+        net::CloseQuiet(std::exchange(fd_, -1));
+      }
       sender_.reset();
       continue;
     }

@@ -79,9 +79,10 @@
 //
 // Threading: ReplPrimary::Apply is update-thread-only (same contract as
 // ServeHarness::ApplyAndPublish); acks/fences arrive on per-connection
-// reader threads. The follower applies records on its single link thread,
-// which is also the only thread that promotes — queries stay wait-free on
-// both sides.
+// reader threads, run by a ConnServer (conn_server.hpp) that joins each one
+// once its connection ends. The follower applies records on its single link
+// thread, which is also the only thread that promotes — queries stay
+// wait-free on both sides.
 #pragma once
 
 #include <atomic>
@@ -96,6 +97,7 @@
 #include <thread>
 #include <vector>
 
+#include "serve/conn_server.hpp"
 #include "serve/event_wal.hpp"
 #include "serve/serve_harness.hpp"
 
@@ -203,18 +205,15 @@ struct ReplPrimaryOptions {
 class ReplPrimary {
  public:
   /// `harness` must be durable (the follower replays OUR wal records; a
-  /// primary that does not log has nothing to ship) and must outlive the
-  /// primary.
+  /// primary that does not log has nothing to ship — throws
+  /// InvalidArgument otherwise) and must outlive the primary.
   explicit ReplPrimary(ServeHarness& harness, ReplPrimaryOptions options = {});
-  ReplPrimary(const ReplPrimary&) = delete;
-  ReplPrimary& operator=(const ReplPrimary&) = delete;
-  ~ReplPrimary();
 
   /// Binds 127.0.0.1:`port` (0 = free port) and starts accepting follower
   /// subscriptions.
   void Start(std::uint16_t port = 0);
-  void Stop();
-  [[nodiscard]] std::uint16_t Port() const noexcept { return port_; }
+  void Stop() { server_.Stop(); }
+  [[nodiscard]] std::uint16_t Port() const noexcept { return server_.Port(); }
 
   /// Applies one batch locally (through the harness — logged, applied,
   /// published, checkpointed) and ships the committed record to every
@@ -253,17 +252,12 @@ class ReplPrimary {
 
  private:
   struct FollowerConn;
-  void AcceptLoop();
-  void ServeFollower(std::shared_ptr<FollowerConn> conn);
+  void ServeFollower(int fd);
   void ShipRetainedFrom(FollowerConn& conn, std::uint64_t after_seq);
   void BroadcastRecord(const std::string& frame_payload, std::uint64_t seq);
 
   ServeHarness& harness_;
   ReplPrimaryOptions options_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread accept_thread_;
 
   /// One retained RECORD payload (already repl-frame-encoded). Retention
   /// is append-only and seq-tagged: catch-up scans for seq > HELLO's
@@ -277,14 +271,16 @@ class ReplPrimary {
 
   mutable std::mutex mu_;  // guards conns_, retained_, watermark bookkeeping
   mutable std::condition_variable cv_;  // ack + subscription progress
-  std::vector<std::shared_ptr<FollowerConn>> conns_;
-  std::vector<std::thread> conn_threads_;
+  std::vector<FollowerConn*> conns_;    // subscribed live connections
   std::vector<Retained> retained_;
   std::uint64_t base_seq_ = 0;
   std::uint64_t watermark_ = 0;
 
   std::atomic<bool> fenced_{false};
   std::atomic<std::uint64_t> fenced_by_{0};
+  // Last: destroyed first, so its Stop() joins every handler while the
+  // members above are still alive.
+  ConnServer server_;
 };
 
 struct ReplFollowerOptions {
@@ -338,13 +334,20 @@ class ReplFollower {
   void LinkLoop();
   bool TryConnect();
   void HandleFrame(const std::string& payload);
+  /// Sends a HELLO, ACK or FENCE stamped with this harness's epoch and
+  /// durable seq.
+  void SendControl(ReplFrameKind kind);
   void MaybePromoteOnSilence();
 
   ServeHarness& harness_;
   FollowerCore core_;
   std::uint16_t primary_port_;
   ReplFollowerOptions options_;
-  std::atomic<int> fd_{-1};  // link-thread-owned; Stop() reads it to shutdown
+  // Written under fd_mu_ by the link thread (and Start); Stop() shuts it
+  // down under fd_mu_, so never after the link thread closed the number and
+  // another socket in the process may have been given it.
+  std::mutex fd_mu_;
+  int fd_ = -1;
   std::unique_ptr<FaultySender> sender_;
   std::atomic<bool> running_{false};
   std::atomic<bool> promoted_{false};

@@ -162,7 +162,7 @@ void ServeHarness::RequireWal() {
 }
 
 bool ServeHarness::ApplyAndPublish(std::span<const incremental::UpdateEvent> events) {
-  const bool durable = !durability_.dir.empty();
+  const bool durable = Durable();
   if (durable) {
     RequireWal();
     // Log-then-apply: a batch the log never heard about must not reach the
@@ -204,7 +204,7 @@ bool ServeHarness::ApplyAndPublish(std::span<const incremental::UpdateEvent> eve
 }
 
 void ServeHarness::Checkpoint() {
-  if (durability_.dir.empty()) return;
+  if (!Durable()) return;
   RequireWal();
   // A checkpoint failure throws InternalError but does NOT mark the
   // harness stale: the published snapshot is current and the WAL still

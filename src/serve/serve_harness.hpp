@@ -148,6 +148,9 @@ class ServeHarness {
     return stale_.load(std::memory_order_relaxed);
   }
 
+  /// True in durable mode (WAL + checkpoints). Any thread.
+  [[nodiscard]] bool Durable() const noexcept { return !durability_.dir.empty(); }
+
   /// Replication fencing epoch (serve/repl_link.hpp). Starts at 1; bumped
   /// only by AdoptEpoch (a follower promoting, or a follower applying a
   /// shipped epoch record). Any thread.

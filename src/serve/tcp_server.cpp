@@ -1,7 +1,6 @@
 #include "serve/tcp_server.hpp"
 
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
@@ -16,7 +15,6 @@ namespace rpt::serve {
 using net::CloseQuiet;
 using net::IoStatus;
 using net::ReadFull;
-using net::SetIoTimeouts;
 using net::WriteFull;
 
 std::uint64_t BackoffDelayMs(int attempt, int base_ms, int cap_ms,
@@ -44,84 +42,15 @@ std::uint64_t BackoffDelayMs(int attempt, int base_ms, int cap_ms,
 }
 
 TcpServer::TcpServer(const ServeHarness& harness, TcpServerOptions options)
-    : harness_(harness), options_(options) {}
-
-TcpServer::~TcpServer() { Stop(); }
-
-void TcpServer::Start(std::uint16_t port) {
-  RPT_REQUIRE(!running_.load(std::memory_order_acquire), "TcpServer: already started");
-
-  net::ListenSocket listener;
-  try {
-    listener = net::ListenLoopback(port);
-  } catch (const InternalError& error) {
-    throw InternalError(std::string("TcpServer: ") + error.what());
-  }
-  listen_fd_ = listener.fd;
-  port_ = listener.port;
-
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread(&TcpServer::AcceptLoop, this);
-}
-
-void TcpServer::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // Unblock accept(), then every blocked per-connection read.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  {
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  CloseQuiet(listen_fd_);
-  listen_fd_ = -1;
-}
-
-void TcpServer::AcceptLoop() {
-  while (running_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener shut down (Stop) or fatal — either way, done
-    }
-    net::SetNoDelay(fd);  // responses must not queue behind delayed ACKs
-    SetIoTimeouts(fd, options_.io_timeout_ms);
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    // Overload guard: at capacity, answer the busy byte and close instead
-    // of spawning a thread the box has no headroom for. The client sees a
-    // well-formed one-byte frame (ServerBusy) and can rotate endpoints.
-    if (options_.max_connections > 0 &&
-        active_.load(std::memory_order_acquire) >= options_.max_connections) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      const std::string busy(1, static_cast<char>(kBusyStatusByte));
-      net::SendFrame(fd, busy);  // best effort — the peer may already be gone
-      CloseQuiet(fd);
-      continue;
-    }
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    if (!running_.load(std::memory_order_acquire)) {
-      CloseQuiet(fd);
-      break;
-    }
-    conn_fds_.push_back(fd);
-    active_.fetch_add(1, std::memory_order_acq_rel);
-    conn_threads_.emplace_back(&TcpServer::ServeConnection, this, fd);
-  }
-}
+    : harness_(harness),
+      server_({options.io_timeout_ms, options.max_connections},
+              [this](int fd) { ServeConnection(fd); }) {}
 
 void TcpServer::ServeConnection(int fd) {
   std::vector<std::uint8_t> payload;
   std::vector<std::uint8_t> out;
   std::uint8_t prefix[4];
-  while (running_.load(std::memory_order_acquire)) {
+  for (;;) {
     fail::Hit("tcp.serve.stall");  // kDelay here = a slow server, per request
     const IoStatus ps = ReadFull(fd, prefix, 4);
     if (ps != IoStatus::kOk) {
@@ -164,8 +93,6 @@ void TcpServer::ServeConnection(int fd) {
       break;
     }
   }
-  CloseQuiet(fd);
-  active_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 TcpClient::TcpClient(std::uint16_t port, TcpClientOptions options)
@@ -225,10 +152,7 @@ QueryResponse TcpClient::Query(const QueryRequest& request) {
 QueryResponse TcpClient::QueryOnce(const QueryRequest& request) {
   std::vector<std::uint8_t> out;
   EncodeRequest(request, out);
-  RPT_CHECK(fd_ >= 0);
-  const IoStatus ws = WriteFull(fd_, out.data(), out.size());
-  if (ws == IoStatus::kTimeout) throw TimeoutError("TcpClient: send timed out");
-  if (ws != IoStatus::kOk) throw InternalError("TcpClient: short write");
+  SendBytes(out);
   return ReadResponse();
 }
 
@@ -236,10 +160,7 @@ QueryResponse TcpClient::RawFrame(std::span<const std::uint8_t> payload) {
   std::vector<std::uint8_t> out;
   wire::PutU32(out, static_cast<std::uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
-  RPT_CHECK(fd_ >= 0);
-  const IoStatus ws = WriteFull(fd_, out.data(), out.size());
-  if (ws == IoStatus::kTimeout) throw TimeoutError("TcpClient: send timed out");
-  if (ws != IoStatus::kOk) throw InternalError("TcpClient: short write");
+  SendBytes(out);
   return ReadResponse();
 }
 

@@ -28,12 +28,12 @@
 // the top of the server's per-request loop so tests can simulate a slow
 // server without touching real traffic.
 //
-// Threading: Start() spawns one accept thread; each accepted connection gets
-// its own handler thread (the expected fan-in is a handful of benchmark or
-// test clients, not a C10K front; the harness underneath scales to any
-// number of query threads). Stop() shuts down the listener and every open
-// connection, then joins all threads — safe to call twice, called by the
-// destructor.
+// Threading: the server runs on a ConnServer (conn_server.hpp): one accept
+// thread, and a handler thread per live connection that is joined once its
+// connection ends (the expected fan-in is a handful of benchmark or test
+// clients, not a C10K front; the harness underneath scales to any number of
+// query threads). Stop() shuts down the listener and every open connection,
+// then joins all threads — safe to call twice, called by the destructor.
 //
 // Binding: loopback (127.0.0.1) only, port 0 picks a free port — Port()
 // reports the bound one. This is deliberately a harness front-end, not an
@@ -42,12 +42,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
+#include "serve/conn_server.hpp"
 #include "serve/query.hpp"
 #include "serve/serve_harness.hpp"
 
@@ -72,11 +70,6 @@ class ServerBusy : public InternalError {
  public:
   explicit ServerBusy(const std::string& what) : InternalError(what) {}
 };
-
-/// Payload of the one-byte busy frame a saturated server answers before
-/// closing (an ordinary response payload is kResponseWireSize bytes, so the
-/// frame length alone disambiguates).
-inline constexpr std::uint8_t kBusyStatusByte = 0xEE;
 
 struct TcpServerOptions {
   /// Per-connection read/write timeout. A half-written request frame or an
@@ -122,27 +115,21 @@ class TcpServer {
   /// Wraps `harness` (not owned; must outlive the server).
   explicit TcpServer(const ServeHarness& harness, TcpServerOptions options = {});
 
-  TcpServer(const TcpServer&) = delete;
-  TcpServer& operator=(const TcpServer&) = delete;
-
-  /// Stops and joins everything.
-  ~TcpServer();
-
   /// Binds 127.0.0.1:`port` (0 = pick a free port), starts listening and
   /// accepting. Throws InternalError if the socket layer refuses; throws
   /// InvalidArgument if already started.
-  void Start(std::uint16_t port = 0);
+  void Start(std::uint16_t port = 0) { server_.Start(port); }
 
   /// Shuts the listener and all connections down and joins their threads.
   /// Idempotent.
-  void Stop();
+  void Stop() { server_.Stop(); }
 
   /// The bound port (valid after Start()).
-  [[nodiscard]] std::uint16_t Port() const noexcept { return port_; }
+  [[nodiscard]] std::uint16_t Port() const noexcept { return server_.Port(); }
 
   /// Connections accepted over the server's lifetime.
   [[nodiscard]] std::uint64_t ConnectionsAccepted() const noexcept {
-    return connections_.load(std::memory_order_relaxed);
+    return server_.Accepted();
   }
 
   /// Requests answered (including failure responses) over the lifetime.
@@ -159,32 +146,21 @@ class TcpServer {
   /// Connections refused with the busy byte because max_connections was
   /// reached.
   [[nodiscard]] std::uint64_t RejectedConnections() const noexcept {
-    return rejected_.load(std::memory_order_relaxed);
+    return server_.Rejected();
   }
 
   /// Currently-open handler connections (the count max_connections bounds).
-  [[nodiscard]] int ActiveConnections() const noexcept {
-    return active_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] int ActiveConnections() const { return server_.Live(); }
 
  private:
-  void AcceptLoop();
   void ServeConnection(int fd);
 
   const ServeHarness& harness_;
-  TcpServerOptions options_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread accept_thread_;
-  std::mutex conn_mutex_;  // guards conn_fds_ / conn_threads_
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
-  std::atomic<std::uint64_t> connections_{0};
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> timeouts_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<int> active_{0};
+  // Last: destroyed first, so its Stop() joins every handler while the
+  // members above are still alive.
+  ConnServer server_;
 };
 
 /// Minimal blocking client for the rpt-serve wire protocol: one connection,

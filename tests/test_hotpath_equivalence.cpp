@@ -24,6 +24,7 @@
 #include "gen/random_tree.hpp"
 #include "gen/shapes.hpp"
 #include "model/instance.hpp"
+#include "model/solution.hpp"
 #include "multiple/multiple_nod_dp.hpp"
 
 namespace rpt {
@@ -157,31 +158,11 @@ TEST(CsrTreeEquivalence, SingleNodeTree) {
 // Solver-output goldens (pre-refactor captures).
 // ---------------------------------------------------------------------------
 
-// FNV-1a over the canonicalized solution; must stay in sync with the
-// capture harness used to record the constants below.
-std::uint64_t HashSolution(Solution solution) {
-  solution.Canonicalize();
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(solution.replicas.size());
-  for (NodeId r : solution.replicas) mix(r);
-  mix(solution.assignment.size());
-  for (const ServiceEntry& e : solution.assignment) {
-    mix(e.client);
-    mix(e.server);
-    mix(e.amount);
-  }
-  return h;
-}
-
 struct Golden {
   const char* algorithm;
   std::uint64_t seed;
   std::size_t cost;
-  std::uint64_t hash;
+  std::uint64_t hash;  ///< CanonicalSolutionHash of the solution
 };
 
 Instance MakeBinaryInstance(std::uint64_t seed) {
@@ -214,7 +195,7 @@ void ExpectGoldens(const std::vector<Golden>& goldens,
     ASSERT_TRUE(run.feasible);
     EXPECT_TRUE(run.validation.ok) << run.validation.Describe();
     EXPECT_EQ(run.solution.ReplicaCount(), golden.cost);
-    EXPECT_EQ(HashSolution(run.solution), golden.hash);
+    EXPECT_EQ(CanonicalSolutionHash(run.solution), golden.hash);
   }
 }
 

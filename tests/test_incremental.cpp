@@ -18,6 +18,7 @@
 #include "gen/shapes.hpp"
 #include "incremental/incremental_solver.hpp"
 #include "incremental/trace_gen.hpp"
+#include "model/solution.hpp"
 #include "model/validate.hpp"
 #include "multiple/multiple_nod_dp.hpp"
 #include "runner/batch_runner.hpp"
@@ -26,26 +27,6 @@
 
 namespace rpt::incremental {
 namespace {
-
-// FNV-1a over the canonicalized solution (same scheme as the hot-path
-// golden tests).
-std::uint64_t HashSolution(Solution solution) {
-  solution.Canonicalize();
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(solution.replicas.size());
-  for (NodeId r : solution.replicas) mix(r);
-  mix(solution.assignment.size());
-  for (const ServiceEntry& e : solution.assignment) {
-    mix(e.client);
-    mix(e.server);
-    mix(e.amount);
-  }
-  return h;
-}
 
 struct Topology {
   std::string name;
@@ -90,7 +71,7 @@ void ExpectMatchesOracle(const IncrementalSolver& solver, const std::string& con
   ASSERT_EQ(solver.Feasible(), oracle.feasible);
   if (!oracle.feasible) return;
   EXPECT_EQ(solver.Current().ReplicaCount(), oracle.solution.ReplicaCount());
-  EXPECT_EQ(HashSolution(solver.Current()), HashSolution(oracle.solution));
+  EXPECT_EQ(CanonicalSolutionHash(solver.Current()), CanonicalSolutionHash(oracle.solution));
   const auto validation = ValidateSolution(materialized, Policy::kMultiple, solver.Current());
   EXPECT_TRUE(validation.ok) << validation.Describe();
 }
@@ -121,7 +102,7 @@ TEST_P(IncrementalEquivalence, RandomizedEventStreamsMatchOracleAfterEveryBatch)
       const bool feasible = solver.Apply(trace[tick]);
       const bool oracle_feasible = oracle.Apply(trace[tick]);
       ASSERT_EQ(feasible, oracle_feasible) << topology.name << " tick " << tick;
-      ASSERT_EQ(HashSolution(solver.Current()), HashSolution(oracle.Current()))
+      ASSERT_EQ(CanonicalSolutionHash(solver.Current()), CanonicalSolutionHash(oracle.Current()))
           << topology.name << " tick " << tick;
       ExpectMatchesOracle(solver, topology.name + "/tick " + std::to_string(tick));
     }
@@ -225,7 +206,7 @@ TEST_P(IncrementalEquivalence, MixedTopologyStreamsMatchOracleAfterEveryBatch) {
       const bool oracle_feasible = oracle.Apply(trace[tick]);
       ASSERT_EQ(feasible, oracle_feasible);
       // Byte-identical in view ids against the compact-solve-remap oracle.
-      ASSERT_EQ(HashSolution(solver.Current()), HashSolution(oracle.Current()));
+      ASSERT_EQ(CanonicalSolutionHash(solver.Current()), CanonicalSolutionHash(oracle.Current()));
       if (!feasible) continue;
       // And independently anchored: compact the state through
       // TreeBuilder::Build, solve from scratch, and check the incremental
@@ -265,7 +246,7 @@ TEST_P(IncrementalEquivalence, SinglePolicyMixedTopologyMatchesOracle) {
       const bool feasible = solver.Apply(trace[tick]);
       const bool oracle_feasible = oracle.Apply(trace[tick]);
       ASSERT_EQ(feasible, oracle_feasible);
-      ASSERT_EQ(HashSolution(solver.Current()), HashSolution(oracle.Current()));
+      ASSERT_EQ(CanonicalSolutionHash(solver.Current()), CanonicalSolutionHash(oracle.Current()));
       if (!feasible) continue;
       const auto materialized = solver.MaterializeCompact();
       const Solution mapped = MapNodeIds(solver.Current(), materialized.remap);
@@ -304,7 +285,7 @@ SolverStateImage CaptureState(const IncrementalSolver& solver) {
   image.capacity = solver.Capacity();
   image.total_demand = solver.TotalDemand();
   image.feasible = solver.Feasible();
-  image.solution_hash = HashSolution(solver.Current());
+  image.solution_hash = CanonicalSolutionHash(solver.Current());
   image.stats = solver.Stats();
   return image;
 }
@@ -456,7 +437,7 @@ TEST(IncrementalSolver, SinglePolicyOverlayMatchesMaterializedSolve) {
     ASSERT_TRUE(solver.Apply(trace[tick]));
     const Instance materialized = solver.MaterializeInstance();
     auto oracle = single::SolveSingleNod(materialized);
-    EXPECT_EQ(HashSolution(solver.Current()), HashSolution(oracle.solution));
+    EXPECT_EQ(CanonicalSolutionHash(solver.Current()), CanonicalSolutionHash(oracle.solution));
     const auto validation = ValidateSolution(materialized, Policy::kSingle, solver.Current());
     EXPECT_TRUE(validation.ok) << validation.Describe();
   }

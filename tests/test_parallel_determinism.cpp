@@ -14,6 +14,7 @@
 
 #include "gen/random_tree.hpp"
 #include "model/instance.hpp"
+#include "model/solution.hpp"
 #include "multiple/multiple_nod_dp.hpp"
 #include "support/thread_pool.hpp"
 
@@ -104,26 +105,6 @@ TEST(ParallelTreeBuild, ByteIdenticalToSerialAcrossThreadCounts) {
   }
 }
 
-// FNV-1a over the canonicalized solution, matching the golden-test hash in
-// test_hotpath_equivalence.cpp.
-std::uint64_t HashSolution(Solution solution) {
-  solution.Canonicalize();
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(solution.replicas.size());
-  for (NodeId r : solution.replicas) mix(r);
-  mix(solution.assignment.size());
-  for (const ServiceEntry& e : solution.assignment) {
-    mix(e.client);
-    mix(e.server);
-    mix(e.amount);
-  }
-  return h;
-}
-
 TEST(ParallelMultipleNodDp, ByteIdenticalToSerialAcrossThreadCounts) {
   for (const std::uint64_t seed : {1ull, 2ull}) {
     gen::RandomTreeConfig cfg;
@@ -137,14 +118,14 @@ TEST(ParallelMultipleNodDp, ByteIdenticalToSerialAcrossThreadCounts) {
                             kNoDistanceLimit);
     const auto serial = multiple::SolveMultipleNodDp(instance);
     ASSERT_TRUE(serial.feasible);
-    const std::uint64_t serial_hash = HashSolution(serial.solution);
+    const std::uint64_t serial_hash = CanonicalSolutionHash(serial.solution);
     for (const std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
       SolverThreadsGuard guard(threads);
       SCOPED_TRACE("seed " + std::to_string(seed) + " threads " + std::to_string(threads));
       const auto parallel = multiple::SolveMultipleNodDp(instance);
       ASSERT_TRUE(parallel.feasible);
       EXPECT_EQ(parallel.solution.ReplicaCount(), serial.solution.ReplicaCount());
-      EXPECT_EQ(HashSolution(parallel.solution), serial_hash);
+      EXPECT_EQ(CanonicalSolutionHash(parallel.solution), serial_hash);
       // The work counters are exact integer sums, so they must match too.
       EXPECT_EQ(parallel.stats.table_entries, serial.stats.table_entries);
       EXPECT_EQ(parallel.stats.convolve_cells, serial.stats.convolve_cells);

@@ -11,9 +11,9 @@
 //
 //  * Live-link tests run a real ReplPrimary + ReplFollower over loopback:
 //    clean shipping, per-frame link faults (drop / dup / reorder) healing
-//    through resync, and the follower bit on query responses. A raw socket
-//    subscriber checks that the shipped records are the primary's WAL
-//    bytes.
+//    through resync, and the follower bit on query responses. Raw socket
+//    subscribers check that the shipped records are the primary's WAL
+//    bytes and that a HELLO below the retained range is hung up on.
 //
 //  * The failover oracle matrix (sim::RunPartitionFailover) sweeps
 //    partition kind × fault position × follower-crash-before-promote ×
@@ -22,7 +22,9 @@
 //    never survive, and after the partition heals it is fenced.
 //
 // Satellites covered here too: TcpServer max_connections busy guard,
-// BackoffDelayMs cap/jitter/determinism, and TcpClient endpoint failover.
+// BackoffDelayMs cap/jitter/determinism, TcpClient endpoint failover, and
+// the connection server under both surfaces leaving no thread behind per
+// ended connection.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -105,6 +107,26 @@ void ApplyLenient(ServeHarness& harness, const std::vector<UpdateEvent>& events)
     harness.ApplyAndPublish(events);
   } catch (const InvalidArgument&) {
   }
+}
+
+/// A raw loopback connection, closed on scope exit.
+struct Socket {
+  int fd;
+  explicit Socket(std::uint16_t port)
+      : fd(net::ConnectLoopback(port, /*connect_timeout_ms=*/2000, /*io_timeout_ms=*/2000,
+                                [](const std::string& what, bool) { throw InternalError(what); })) {}
+  Socket(const Socket&) = delete;
+  Socket& operator=(const Socket&) = delete;
+  ~Socket() { net::CloseQuiet(fd); }
+};
+
+/// Sends a raw HELLO subscribing from `last_seq`.
+net::IoStatus SendHello(const Socket& socket, std::uint64_t epoch, std::uint64_t last_seq) {
+  ReplFrame hello;
+  hello.kind = ReplFrameKind::kHello;
+  hello.epoch = epoch;
+  hello.seq = last_seq;
+  return net::SendFrame(socket.fd, EncodeReplFrame(hello));
 }
 
 /// Polls `pred` every 5 ms for up to `deadline_ms`.
@@ -372,16 +394,8 @@ TEST(ReplLink, ShippedRecordsAreTheWalBytes) {
   ReplPrimary primary(harness, options);
   primary.Start();
 
-  struct Socket {
-    int fd;
-    ~Socket() { net::CloseQuiet(fd); }
-  } const subscriber{net::ConnectLoopback(
-      primary.Port(), /*connect_timeout_ms=*/2000, /*io_timeout_ms=*/2000,
-      [](const std::string& what, bool) { throw InternalError(what); })};
-  ReplFrame hello;
-  hello.kind = ReplFrameKind::kHello;
-  hello.epoch = harness.Epoch();
-  ASSERT_EQ(net::SendFrame(subscriber.fd, EncodeReplFrame(hello)), net::IoStatus::kOk);
+  const Socket subscriber(primary.Port());
+  ASSERT_EQ(SendHello(subscriber, harness.Epoch(), /*last_seq=*/0), net::IoStatus::kOk);
   ASSERT_TRUE(primary.WaitForFollowers(1, 5000));
 
   const std::vector<UpdateEvent> accepted{UpdateEvent::DemandDelta(31, 2),
@@ -419,6 +433,44 @@ TEST(ReplLink, ShippedRecordsAreTheWalBytes) {
   ASSERT_TRUE(refused.has_value());
   EXPECT_EQ(refused->seq, 2u);
   EXPECT_EQ(refused->events.size(), rejected.size());
+}
+
+// A primary that does not log has nothing to ship: LastDurableSeq() stays
+// 0, so every ack wait would pass at once while followers apply nothing.
+TEST(ReplLink, RefusesANonDurableHarness) {
+  const Instance instance = MakeInstance(40);
+  ServeHarness harness(instance);
+  EXPECT_THROW({ ReplPrimary primary(harness); }, InvalidArgument);
+}
+
+// The primary retains records from its harness's seq at Start() on. A
+// follower asking from below that cannot be caught up, and the primary says
+// so by hanging up: EOF, never a silent stall, and no subscription.
+TEST(ReplLink, HelloBelowTheRetainedRangeIsRefused) {
+  const Instance instance = MakeInstance(41);
+  const TempDir dir;
+  ServeHarness harness(instance, {}, Durable(dir.path));
+  (void)harness.ApplyAndPublish(std::vector<UpdateEvent>{UpdateEvent::DemandDelta(31, 2)});
+  (void)harness.ApplyAndPublish(std::vector<UpdateEvent>{UpdateEvent::DemandDelta(32, 1)});
+  ASSERT_EQ(harness.LastDurableSeq(), 2u);
+  ReplPrimaryOptions options;
+  options.io_timeout_ms = 200;
+  ReplPrimary primary(harness, options);
+  primary.Start();
+
+  {
+    const Socket stale(primary.Port());
+    ASSERT_EQ(SendHello(stale, harness.Epoch(), /*last_seq=*/0), net::IoStatus::kOk);
+    std::string payload;
+    EXPECT_EQ(net::RecvFrame(stale.fd, payload, kMaxReplFrameBytes), net::IoStatus::kClosed);
+    EXPECT_EQ(primary.Followers(), 0);
+  }
+  // A HELLO at the retained base subscribes.
+  const Socket current(primary.Port());
+  ASSERT_EQ(SendHello(current, harness.Epoch(), /*last_seq=*/2), net::IoStatus::kOk);
+  EXPECT_TRUE(primary.WaitForFollowers(1, 5000));
+  primary.Stop();
+  EXPECT_EQ(primary.Followers(), 0);
 }
 
 TEST(ReplLink, FollowerBitOnQueriesUntilPromotion) {
@@ -689,6 +741,65 @@ TEST(TcpServerBusy, MaxConnectionsAnswersBusyByteAndCounts) {
   ASSERT_TRUE(PollFor(2000, [&] { return server.ActiveConnections() == 0; }));
   TcpClient fresh(server.Port());
   EXPECT_TRUE(fresh.Query(request).ok);
+  server.Stop();
+}
+
+/// Lines of /proc/self/maps. A thread's stack and its guard page are two.
+std::size_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// A connection that ended leaves no thread behind: both surfaces join each
+// handler once its connection is over, so sequential connections keep the
+// mappings flat instead of adding a stack per connection until Stop().
+TEST(ConnServer, EndedConnectionsLeaveTheMappingsFlat) {
+  const Instance instance = MakeInstance(42);
+  const TempDir dir;
+  ServeHarness harness(instance, {}, Durable(dir.path));
+  TcpServer server(harness);
+  server.Start();
+  ReplPrimaryOptions options;
+  options.io_timeout_ms = 200;
+  ReplPrimary primary(harness, options);
+  primary.Start();
+
+  QueryRequest request;
+  request.kind = QueryKind::kWhichReplica;
+  request.node = 31;
+  const auto query_cycle = [&] {
+    {
+      TcpClient client(server.Port());
+      EXPECT_TRUE(client.Query(request).ok);
+    }
+    EXPECT_TRUE(PollFor(5000, [&] { return server.ActiveConnections() == 0; }));
+  };
+  const auto follower_cycle = [&] {
+    {
+      const Socket follower(primary.Port());
+      EXPECT_EQ(SendHello(follower, harness.Epoch(), /*last_seq=*/0), net::IoStatus::kOk);
+      EXPECT_TRUE(primary.WaitForFollowers(1, 5000));
+    }
+    EXPECT_TRUE(PollFor(5000, [&] { return primary.Followers() == 0; }));
+  };
+  // Warm up: the first few dozen threads of a process fill the allocator's,
+  // the thread library's and (under TSan) the race detector's caches.
+  for (int i = 0; i < 20; ++i) {
+    query_cycle();
+    follower_cycle();
+  }
+  // Keeping every ended thread would add 100 and 40 mappings here.
+  constexpr std::size_t kSlack = 8;
+  const std::size_t before = MappingCount();
+  for (int i = 0; i < 50; ++i) query_cycle();
+  const std::size_t after_queries = MappingCount();
+  EXPECT_LE(after_queries, before + kSlack) << "50 query connections";
+  for (int i = 0; i < 20; ++i) follower_cycle();
+  EXPECT_LE(MappingCount(), after_queries + kSlack) << "20 follower connections";
+  EXPECT_EQ(server.ConnectionsAccepted(), 70u);
+  primary.Stop();
   server.Stop();
 }
 

@@ -8,7 +8,9 @@
 //    drain-wait really blocks reclamation until the last reader detaches.
 //  * ServeHarness / TcpServer — queries answer against the current snapshot
 //    through both the in-process and the TCP front-end; a bad update batch
-//    publishes nothing and the service keeps answering.
+//    publishes nothing and the service keeps answering. The ConnServer
+//    underneath keeps only live connections, so stopping one server never
+//    touches a socket that another part of the process now owns.
 //  * The swap-torture test — N threads query while the publisher swaps
 //    under replay-style churn; every answer must be byte-identical to the
 //    precomputed answer for the version it claims (no torn reads, no
@@ -25,6 +27,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -33,6 +36,7 @@
 #include "incremental/incremental_solver.hpp"
 #include "incremental/trace_gen.hpp"
 #include "multiple/multiple_nod_dp.hpp"
+#include "serve/conn_server.hpp"
 #include "serve/placement_snapshot.hpp"
 #include "serve/query.hpp"
 #include "serve/serve_harness.hpp"
@@ -56,6 +60,17 @@ Instance MakeSolvedInstance(std::uint64_t seed) {
   cfg.min_requests = 0;
   cfg.max_requests = 9;
   return Instance(gen::GenerateRandomTree(cfg, seed), /*capacity=*/18);
+}
+
+/// Polls `pred` every millisecond for up to five seconds.
+template <typename Pred>
+bool WaitFor(Pred&& pred) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 std::unique_ptr<const PlacementSnapshot> SnapshotOf(const IncrementalSolver& solver,
@@ -451,6 +466,71 @@ TEST(TcpServer, ExhaustedRetryBudgetSurfacesTheTimeout) {
   EXPECT_THROW((void)client.Query(request), TimeoutError);
   EXPECT_EQ(client.Retries(), 1u);
   ::close(listen_fd);
+}
+
+// Stop() shuts down open sockets only. Once the server has closed a
+// connection, its fd number is free, and the next socket the process makes
+// takes the lowest free number: here the second server's end of a no-retry
+// client's connection.
+TEST(TcpServer, StopLeavesAnotherServersConnectionAlive) {
+  const Instance instance = MakeSolvedInstance(13);
+  ServeHarness harness(instance);
+  TcpServer first(harness);
+  TcpServer second(harness);
+  first.Start();
+  second.Start();
+  const QueryRequest request{QueryKind::kResidual, instance.GetTree().Root(), 0};
+  TcpClient served(first.Port());
+  EXPECT_TRUE(served.Query(request).ok);
+  // An oversized frame makes the first server close the connection; the
+  // client keeps its end, so the number the server freed is the lowest free.
+  const std::uint8_t oversized[4] = {0xFF, 0xFF, 0, 0};
+  served.SendBytes(oversized);
+  ASSERT_TRUE(WaitFor([&] { return first.ActiveConnections() == 0; }));
+
+  TcpClientOptions no_retry;
+  no_retry.max_retries = 0;
+  TcpClient client(second.Port(), no_retry);
+  EXPECT_TRUE(client.Query(request).ok);
+  first.Stop();
+  EXPECT_TRUE(client.Query(request).ok);
+  second.Stop();
+}
+
+// The live set holds exactly the connections whose handler is still
+// running; Stop() shuts the rest down and returns once their handlers have
+// ended, and the server can start again afterwards.
+TEST(ConnServer, KeepsOnlyLiveConnectionsAndStopEndsTheRest) {
+  std::atomic<int> ended{0};
+  ConnServer server({}, [&](int fd) {
+    std::uint8_t byte = 0;
+    while (::read(fd, &byte, 1) > 0) {
+    }  // until the peer, or Stop(), hangs up
+    ended.fetch_add(1);
+  });
+  server.Start(0);
+  auto a = std::make_unique<TcpClient>(server.Port());
+  auto b = std::make_unique<TcpClient>(server.Port());
+  const TcpClient c(server.Port());
+  ASSERT_TRUE(WaitFor([&] { return server.Live() == 3; }));
+  a.reset();
+  b.reset();
+  ASSERT_TRUE(WaitFor([&] { return server.Live() == 1; }));
+  EXPECT_EQ(ended.load(), 2);
+
+  server.Stop();  // c is still connected: its handler is shut down, then joined
+  EXPECT_EQ(ended.load(), 3);
+  EXPECT_EQ(server.Live(), 0);
+  EXPECT_EQ(server.Accepted(), 3u);
+  EXPECT_EQ(server.Rejected(), 0u);
+  server.Stop();  // idempotent
+
+  server.Start(0);
+  const TcpClient d(server.Port());
+  ASSERT_TRUE(WaitFor([&] { return server.Live() == 1; }));
+  server.Stop();
+  EXPECT_EQ(ended.load(), 4);
+  EXPECT_EQ(server.Accepted(), 4u);
 }
 
 TEST(TcpServer, StaleBitTravelsTheWire) {

@@ -15,6 +15,7 @@
 
 #include "gen/random_tree.hpp"
 #include "gen/shapes.hpp"
+#include "model/solution.hpp"
 #include "multiple/multiple_nod_dp.hpp"
 #include "shard/boundary_table.hpp"
 #include "shard/coordinator.hpp"
@@ -25,25 +26,6 @@
 
 namespace rpt::shard {
 namespace {
-
-/// FNV-1a over the canonical solution (same fingerprint as the incremental
-/// oracle tests): equal hashes <=> byte-identical canonical solutions.
-std::uint64_t HashSolution(const Solution& solution) {
-  std::uint64_t hash = 1469598103934665603ull;
-  const auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  mix(solution.replicas.size());
-  for (const NodeId id : solution.replicas) mix(id);
-  mix(solution.assignment.size());
-  for (const ServiceEntry& entry : solution.assignment) {
-    mix(entry.client);
-    mix(entry.server);
-    mix(entry.amount);
-  }
-  return hash;
-}
 
 Tree RandomTree(std::uint64_t seed, std::uint32_t internal, std::uint32_t clients) {
   gen::RandomTreeConfig config;
@@ -69,7 +51,7 @@ void ExpectOracleEqual(const Instance& instance, std::uint32_t shards) {
   const ShardedSolveResult sharded = SolveSharded(instance, options);
   ASSERT_EQ(oracle.feasible, sharded.feasible) << "k=" << shards;
   EXPECT_EQ(oracle.solution.ReplicaCount(), sharded.solution.ReplicaCount()) << "k=" << shards;
-  EXPECT_EQ(HashSolution(oracle.solution), HashSolution(sharded.solution)) << "k=" << shards;
+  EXPECT_EQ(CanonicalSolutionHash(oracle.solution), CanonicalSolutionHash(sharded.solution)) << "k=" << shards;
   EXPECT_TRUE(sharded.failures.empty());
 }
 
@@ -265,7 +247,7 @@ TEST(ShardOracle, StarFallsBackToTheLocalSolve) {
   EXPECT_EQ(sharded.stats.shard_count, 0u);
   const auto oracle = multiple::SolveMultipleNodDp(instance);
   EXPECT_EQ(oracle.feasible, sharded.feasible);
-  EXPECT_EQ(HashSolution(oracle.solution), HashSolution(sharded.solution));
+  EXPECT_EQ(CanonicalSolutionHash(oracle.solution), CanonicalSolutionHash(sharded.solution));
 }
 
 TEST(ShardOracle, InfeasibleInstanceStaysInfeasible) {
@@ -319,7 +301,7 @@ TEST(ShardFaults, CrashedWorkerIsRedispatchedToTheIdenticalAnswer) {
   EXPECT_EQ(sharded.failures[0].attempt, 1u);
   ASSERT_EQ(oracle.feasible, sharded.feasible);
   EXPECT_EQ(oracle.solution.ReplicaCount(), sharded.solution.ReplicaCount());
-  EXPECT_EQ(HashSolution(oracle.solution), HashSolution(sharded.solution));
+  EXPECT_EQ(CanonicalSolutionHash(oracle.solution), CanonicalSolutionHash(sharded.solution));
 }
 
 TEST(ShardFaults, ExhaustedAttemptsThrowNamingTheShard) {
