@@ -1,5 +1,6 @@
 #include "serve/conn_server.hpp"
 
+#include <chrono>
 #include <string>
 #include <utility>
 
@@ -59,8 +60,10 @@ void ConnServer::AcceptLoop() {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener shut down (Stop) or fatal — either way, done
+      if (errno == EINVAL) return;  // Stop() shut the listener down
+      // Out of fds (EMFILE) or buffers in a storm: retry once some close.
+      if (errno != EINTR) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
     }
     net::SetNoDelay(fd);  // responses must not queue behind delayed ACKs
     net::SetIoTimeouts(fd, options_.io_timeout_ms);

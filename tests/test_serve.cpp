@@ -19,15 +19,19 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -531,6 +535,51 @@ TEST(ConnServer, KeepsOnlyLiveConnectionsAndStopEndsTheRest) {
   server.Stop();
   EXPECT_EQ(ended.load(), 4);
   EXPECT_EQ(server.Accepted(), 4u);
+}
+
+// A storm that runs the process out of fds makes accept() fail (EMFILE)
+// while the listener is intact: the server must accept again once fds free
+// up, not stop accepting for good.
+TEST(ConnServer, AcceptOutlivesRunningOutOfFds) {
+  const Instance instance = MakeSolvedInstance(14);
+  ServeHarness harness(instance);
+  TcpServer server(harness);
+  server.Start();
+  // Lowers the fd limit and takes every fd below it but one.
+  struct Starved {
+    rlimit saved{};
+    std::vector<int> fillers;
+    Starved() {
+      ::getrlimit(RLIMIT_NOFILE, &saved);
+      rlimit low = saved;
+      low.rlim_cur = std::min<rlim_t>(saved.rlim_cur, 256);
+      ::setrlimit(RLIMIT_NOFILE, &low);
+      for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) fillers.push_back(fd);
+      ::close(fillers.back());
+      fillers.pop_back();
+    }
+    ~Starved() {
+      for (const int fd : fillers) ::close(fd);
+      ::setrlimit(RLIMIT_NOFILE, &saved);
+    }
+  };
+  TcpClientOptions options;
+  options.max_retries = 0;
+  options.io_timeout_ms = 2000;
+  std::optional<TcpClient> during;
+  {
+    const Starved starved;
+    // This client takes the last fd. A waiting accept() has reserved its fd
+    // already, so it takes this connection; the next accept() finds none.
+    during.emplace(server.Port(), options);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  TcpClient after(server.Port(), options);
+  const QueryRequest request{QueryKind::kResidual, instance.GetTree().Root(), 0};
+  EXPECT_TRUE(after.Query(request).ok);
+  EXPECT_TRUE(during->Query(request).ok);
+  EXPECT_EQ(server.ConnectionsAccepted(), 2u);
+  server.Stop();
 }
 
 TEST(TcpServer, StaleBitTravelsTheWire) {
