@@ -4,12 +4,27 @@
 # deterministic JSON reports are not byte-identical. Also fails when any
 # binary exits non-zero (their exit codes gate on BatchReport::AllOk()).
 #
-# Usage: scripts/bench_smoke.sh [build-dir]   (default: build)
+# Usage: scripts/bench_smoke.sh [build-dir] [out-dir]   (default: build)
+#
+# Without out-dir the reports go to a temporary directory deleted on exit.
+# With it they are kept there (the directory must be empty or new), so two
+# builds' reports compare with `diff -r`. Two entries legitimately differ
+# between runs, because they hold ports and paths: `repl-ports` and
+# `shard-crash/shard-*.manifest`.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
-OUT_DIR="$(mktemp -d)"
-trap 'rm -rf "$OUT_DIR"' EXIT
+if [ $# -ge 2 ]; then
+  OUT_DIR="$2"
+  mkdir -p "$OUT_DIR"
+  if [ -n "$(ls -A "$OUT_DIR")" ]; then
+    echo "FAIL: $OUT_DIR is not empty"
+    exit 1
+  fi
+else
+  OUT_DIR="$(mktemp -d)"
+  trap 'rm -rf "$OUT_DIR"' EXIT
+fi
 
 run_pair() {
   local name="$1"

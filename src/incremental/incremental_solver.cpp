@@ -1,8 +1,8 @@
 #include "incremental/incremental_solver.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
-#include <unordered_map>
 #include <utility>
 
 #include "multiple/multiple_nod_dp.hpp"
@@ -102,195 +102,102 @@ static Requests NegMagnitude(std::int64_t delta) noexcept {
   return static_cast<Requests>(-(delta + 1)) + 1;
 }
 
-// Dry-runs a demand/capacity-only batch against the current state so a bad
-// event leaves the solver untouched (Apply's atomicity guarantee). Demand
-// interactions within the batch (a delta following an add, etc.) are tracked
-// in a side map; the projected per-client demands AND the projected total
-// are both guarded against wrapping through unsigned Requests — a wrapped
-// demand would silently pass validation and corrupt every DP table bound.
-void IncrementalSolver::Validate(std::span<const UpdateEvent> events) const {
-  constexpr Requests kMaxDemand = std::numeric_limits<Requests>::max();
-  const TopologyView view = View();
-  std::unordered_map<NodeId, Requests> pending;
-  unsigned __int128 projected_total = total_demand_;
-  const auto demand_of = [&](NodeId client) {
-    const auto it = pending.find(client);
-    return it == pending.end() ? demand_[client] : it->second;
-  };
-  const auto project = [&](NodeId client, Requests old_value, Requests new_value) {
-    pending[client] = new_value;
-    projected_total = projected_total - old_value + new_value;
-    RPT_REQUIRE(projected_total <= kMaxDemand,
-                "incremental: batch would overflow the total demand");
-  };
-  for (const UpdateEvent& event : events) {
-    if (event.kind == UpdateEvent::Kind::kCapacity) {
-      RPT_REQUIRE(event.value > 0, "incremental: capacity must stay positive");
-      continue;
-    }
-    RPT_REQUIRE(event.client < view.Size() && view.IsLive(event.client) &&
-                    view.IsClient(event.client),
-                "incremental: update events must target a live client leaf");
-    switch (event.kind) {
-      case UpdateEvent::Kind::kDemandDelta: {
-        const Requests current = demand_of(event.client);
-        if (event.delta < 0) {
-          const Requests magnitude = NegMagnitude(event.delta);
-          RPT_REQUIRE(current >= magnitude,
-                      "incremental: demand delta would drop a client below zero");
-          project(event.client, current, current - magnitude);
-        } else {
-          const Requests magnitude = static_cast<Requests>(event.delta);
-          RPT_REQUIRE(current <= kMaxDemand - magnitude,
-                      "incremental: demand delta would wrap through unsigned Requests");
-          project(event.client, current, current + magnitude);
-        }
-        break;
-      }
-      case UpdateEvent::Kind::kClientAdd:
-        RPT_REQUIRE(demand_of(event.client) == 0,
-                    "incremental: kClientAdd targets a client that is already active");
-        RPT_REQUIRE(event.value > 0, "incremental: kClientAdd needs a positive demand");
-        project(event.client, 0, event.value);
-        break;
-      case UpdateEvent::Kind::kClientRemove:
-        project(event.client, demand_of(event.client), 0);  // idle remove is a no-op
-        break;
-      default:
-        RPT_CHECK(false);  // topology kinds take the clone-and-swap path
-    }
-  }
-}
-
+// Every batch runs one staging loop. Events apply in order to a copy of the
+// demand column and to a local capacity; topology events apply to a clone of
+// the overlay, which only a batch with a topology event makes. Each event is
+// checked before it is staged, so an InvalidArgument anywhere in the batch
+// leaves the solver untouched. The projected total is guarded wider than
+// Requests: a wrapped demand would silently corrupt every DP table bound.
 bool IncrementalSolver::Apply(std::span<const UpdateEvent> events) {
-  bool has_topology = false;
-  for (const UpdateEvent& event : events) has_topology |= event.IsTopology();
-  if (has_topology) return ApplyTopologyBatch(events);
-
-  Validate(events);
-  touched_scratch_.clear();
-  bool capacity_changed = false;
-  const auto set_demand = [&](NodeId client, Requests value) {
-    const Requests old = demand_[client];
-    if (old == value) return;  // tables depend on the value, not the event
-    demand_[client] = value;
-    total_demand_ = total_demand_ - old + value;
-    if (overlay_) overlay_->SetRequests(client, value);  // keep aggregates in sync
-    if (engine_) engine_->SetDemand(client, value);
-    touched_scratch_.push_back(client);
-  };
-  for (const UpdateEvent& event : events) {
-    switch (event.kind) {
-      case UpdateEvent::Kind::kDemandDelta:
-        set_demand(event.client,
-                   event.delta < 0 ? demand_[event.client] - static_cast<Requests>(-event.delta)
-                                   : demand_[event.client] + static_cast<Requests>(event.delta));
-        break;
-      case UpdateEvent::Kind::kClientAdd:
-        set_demand(event.client, event.value);
-        break;
-      case UpdateEvent::Kind::kClientRemove:
-        set_demand(event.client, 0);
-        break;
-      case UpdateEvent::Kind::kCapacity:
-        if (event.value != capacity_) {
-          capacity_ = event.value;
-          capacity_changed = true;
-        }
-        break;
-      default:
-        RPT_CHECK(false);  // unreachable: topology batches branched above
-    }
-  }
-  stats_.events_applied += events.size();
-  Resolve(touched_scratch_, /*full=*/capacity_changed);
-  return feasible_;
-}
-
-// Topology batches commit via clone-and-swap: every event (topology and
-// demand alike, in order) applies to a clone of the current overlay and to
-// local demand/capacity copies. The overlay mutators validate before
-// mutating, so any InvalidArgument propagates with the clone still local —
-// the solver state is untouched. Only after the whole batch has applied do
-// the members swap and the engine learn the new topology.
-bool IncrementalSolver::ApplyTopologyBatch(std::span<const UpdateEvent> events) {
   constexpr Requests kMaxDemand = std::numeric_limits<Requests>::max();
-  auto next = overlay_ ? std::make_unique<TreeOverlay>(*overlay_)
-                       : PromoteBaseOverlay();
-  std::vector<Requests> new_demand = demand_;
-  Requests new_capacity = capacity_;
+  const auto topology_events =
+      static_cast<std::uint64_t>(std::ranges::count_if(events, &UpdateEvent::IsTopology));
+  std::unique_ptr<TreeOverlay> next;
+  if (topology_events > 0) {
+    next = overlay_ ? std::make_unique<TreeOverlay>(*overlay_) : PromoteBaseOverlay();
+  }
+  const TopologyView view = next ? TopologyView(*next) : View();
+  std::vector<Requests> demand = demand_;
+  unsigned __int128 total = total_demand_;
+  Requests capacity = capacity_;
   std::vector<NodeId> seeds;             // dirty-chain seeds, filtered to live at commit
   std::vector<NodeId> children_changed;  // parents whose child list shrank/reordered
   std::vector<NodeId> removed;           // ids tombstoned by this batch
-  std::uint64_t topology_events = 0;
 
-  const auto set_demand = [&](NodeId client, Requests value) {
-    RPT_REQUIRE(client < next->Size() && next->IsLive(client) && next->IsClient(client),
-                "incremental: update events must target a live client leaf");
-    next->SetRequests(client, value);  // guards the total through the chain
-    new_demand[client] = value;
-    seeds.push_back(client);
+  const auto stage_demand = [&](NodeId client, Requests value) {
+    const Requests old = demand[client];
+    total = total - old + value;
+    RPT_REQUIRE(total <= kMaxDemand, "incremental: batch would overflow the total demand");
+    demand[client] = value;
+    if (next) next->SetRequests(client, value);
+    // A topology batch seeds every client a demand event names; a
+    // demand-only batch seeds only the clients whose demand changes.
+    if (next || value != old) seeds.push_back(client);
   };
   const auto require_live = [&](NodeId node, const char* what) {
-    RPT_REQUIRE(node < next->Size() && next->IsLive(node), what);
+    RPT_REQUIRE(node < view.Size() && view.IsLive(node), what);
   };
 
   for (const UpdateEvent& event : events) {
+    if (!event.IsTopology() && event.kind != UpdateEvent::Kind::kCapacity) {
+      RPT_REQUIRE(event.client < view.Size() && view.IsLive(event.client) &&
+                      view.IsClient(event.client),
+                  "incremental: update events must target a live client leaf");
+    }
     switch (event.kind) {
       case UpdateEvent::Kind::kDemandDelta: {
-        require_live(event.client, "incremental: update events must target a live client leaf");
-        const Requests current = new_demand[event.client];
+        const Requests current = demand[event.client];
         if (event.delta < 0) {
           const Requests magnitude = NegMagnitude(event.delta);
           RPT_REQUIRE(current >= magnitude,
                       "incremental: demand delta would drop a client below zero");
-          set_demand(event.client, current - magnitude);
+          stage_demand(event.client, current - magnitude);
         } else {
           const Requests magnitude = static_cast<Requests>(event.delta);
           RPT_REQUIRE(current <= kMaxDemand - magnitude,
                       "incremental: demand delta would wrap through unsigned Requests");
-          set_demand(event.client, current + magnitude);
+          stage_demand(event.client, current + magnitude);
         }
         break;
       }
       case UpdateEvent::Kind::kClientAdd:
-        require_live(event.client, "incremental: update events must target a live client leaf");
-        RPT_REQUIRE(new_demand[event.client] == 0,
+        RPT_REQUIRE(demand[event.client] == 0,
                     "incremental: kClientAdd targets a client that is already active");
         RPT_REQUIRE(event.value > 0, "incremental: kClientAdd needs a positive demand");
-        set_demand(event.client, event.value);
+        stage_demand(event.client, event.value);
         break;
       case UpdateEvent::Kind::kClientRemove:
-        set_demand(event.client, 0);
+        stage_demand(event.client, 0);  // idle remove is a no-op
         break;
       case UpdateEvent::Kind::kCapacity:
         RPT_REQUIRE(event.value > 0, "incremental: capacity must stay positive");
-        new_capacity = event.value;
+        capacity = event.value;
         break;
       case UpdateEvent::Kind::kAttachSubtree: {
-        ++topology_events;
         const NodeId first = next->AttachSubtree(event.client, event.spec);
-        new_demand.resize(next->Size(), 0);
+        demand.resize(next->Size(), 0);
         for (NodeId id = first; id < next->Size(); ++id) {
-          new_demand[id] = next->RequestsOf(id);
+          demand[id] = next->RequestsOf(id);
+          total += demand[id];
           seeds.push_back(id);  // fresh ids have no tables yet — always dirty
         }
         break;
       }
       case UpdateEvent::Kind::kDetachSubtree: {
-        ++topology_events;
         require_live(event.client, "incremental: detach targets a dead or out-of-range node");
         const NodeId parent = next->Parent(event.client);
         std::vector<NodeId> dead;
         next->DetachSubtree(event.client, &dead);  // rejects the root itself
-        for (const NodeId id : dead) new_demand[id] = 0;
+        for (const NodeId id : dead) {
+          total -= demand[id];
+          demand[id] = 0;
+        }
         removed.insert(removed.end(), dead.begin(), dead.end());
         seeds.push_back(parent);
         children_changed.push_back(parent);
         break;
       }
       case UpdateEvent::Kind::kMigrateSubtree: {
-        ++topology_events;
         require_live(event.client, "incremental: migrate targets a dead or out-of-range node");
         const NodeId old_parent = next->Parent(event.client);
         next->MigrateSubtree(event.client, event.parent, event.value);
@@ -310,7 +217,6 @@ bool IncrementalSolver::ApplyTopologyBatch(std::span<const UpdateEvent> events) 
         break;
       }
       case UpdateEvent::Kind::kLinkCapacity:
-        ++topology_events;
         require_live(event.client, "incremental: link event targets a dead or out-of-range node");
         next->SetLinkDelta(event.client, event.value);
         // No seeds: F tables depend on subtree demands and W only, never on
@@ -320,27 +226,33 @@ bool IncrementalSolver::ApplyTopologyBatch(std::span<const UpdateEvent> events) 
   }
 
   // Commit. Nothing below throws on valid input.
-  overlay_ = std::move(next);
-  demand_ = std::move(new_demand);
-  total_demand_ = overlay_->TotalRequests();
-  const bool capacity_changed = new_capacity != capacity_;
-  capacity_ = new_capacity;
+  const bool capacity_changed = capacity != capacity_;
+  capacity_ = capacity;
+  total_demand_ = static_cast<Requests>(total);
   stats_.events_applied += events.size();
   stats_.topology_events += topology_events;
-
-  // Later events in the batch may have killed nodes an earlier event
-  // recorded (attach-then-detach, detach below a detach): drop dead entries
-  // — a dead seed's chain is either gone or re-seeded via its parent.
-  const auto drop_dead = [this](std::vector<NodeId>& ids) {
-    std::erase_if(ids, [this](NodeId id) { return !overlay_->IsLive(id); });
-  };
-  drop_dead(seeds);
-  drop_dead(children_changed);
-
-  if (engine_) {
-    engine_->ApplyTopology(TopologyView(*overlay_), children_changed, removed);
+  if (next) {
+    overlay_ = std::move(next);
+    // Later events in the batch may have killed nodes an earlier event
+    // recorded (attach-then-detach, detach below a detach): drop dead
+    // entries — a dead seed's chain is either gone or re-seeded via its
+    // parent.
+    const auto drop_dead = [this](std::vector<NodeId>& ids) {
+      std::erase_if(ids, [this](NodeId id) { return !overlay_->IsLive(id); });
+    };
+    drop_dead(seeds);
+    drop_dead(children_changed);
+    if (engine_) engine_->ApplyTopology(TopologyView(*overlay_), children_changed, removed);
+  } else {
+    // A demand-only batch never clones the overlay: it writes the changed
+    // clients into the live request column and the engine's demand mirror.
+    for (const NodeId client : seeds) {
+      if (overlay_) overlay_->SetRequests(client, demand[client]);
+      if (engine_) engine_->SetDemand(client, demand[client]);
+    }
   }
-  Resolve(seeds, /*capacity_changed=*/capacity_changed);
+  demand_ = std::move(demand);
+  Resolve(seeds, /*full=*/capacity_changed);
   return feasible_;
 }
 

@@ -17,10 +17,12 @@
 // Topology: the solver starts on the instance's immutable CSR Tree. The
 // first batch containing a topology event promotes it to a private
 // TreeOverlay (tree/tree_overlay.hpp) — a delta view with appended ids and
-// tombstones — and every later state lives there. Batches with topology
-// events commit via clone-and-swap: all events apply in order to a clone of
-// the overlay, so a throwing event discards the clone and leaves the solver
-// untouched (the same atomicity the demand-only path gets from its dry-run).
+// tombstones — and every later state lives there. Every batch runs one
+// staging loop: its events apply in order to a copy of the demand column
+// and, when the batch has a topology event, to a clone of the overlay; a
+// throwing event discards the copies and leaves the solver untouched. A
+// demand-only batch never clones the overlay: its commit writes the changed
+// clients into the live one.
 // View() exposes the current topology; ids are stable for the solver's
 // lifetime (attach appends fresh ids, detach tombstones forever).
 //
@@ -33,9 +35,8 @@
 //    tests/test_incremental.cpp at solver-pool widths 1 and 4.
 //  * Determinism — solutions and all stats except wall time are identical
 //    at any thread count (the engine's level sweeps are deterministic).
-//  * Atomicity — Apply() validates the whole batch against the current
-//    state before committing anything; on InvalidArgument the solver state
-//    is unchanged.
+//  * Atomicity — Apply() stages the whole batch before committing anything;
+//    on InvalidArgument the solver state is unchanged.
 //
 // Policies: Policy::kMultiple runs the incremental DP (or its from-scratch
 // oracle under Engine::kFullResolve). Policy::kSingle re-runs the single-nod
@@ -167,8 +168,6 @@ class IncrementalSolver {
   /// mirrored in (demand-only batches may have diverged demand_ from the
   /// base tree's construction-time requests).
   [[nodiscard]] std::unique_ptr<TreeOverlay> PromoteBaseOverlay() const;
-  void Validate(std::span<const UpdateEvent> events) const;
-  bool ApplyTopologyBatch(std::span<const UpdateEvent> events);
   void Resolve(std::span<const NodeId> touched, bool capacity_changed);
 
   const Tree& tree_;
@@ -186,7 +185,6 @@ class IncrementalSolver {
   Solution solution_;
   bool feasible_ = false;
   IncrementalStats stats_;
-  std::vector<NodeId> touched_scratch_;  // reused per Apply()
 };
 
 }  // namespace rpt::incremental

@@ -17,10 +17,9 @@
 //                      hardware/QoS reconfiguration; invalidates every DP
 //                      table, so it forces a full recompute).
 //
-// Topology events (applied to the solver's TreeOverlay; batches containing
-// any of these are validated by cloning the overlay, so a throwing event
-// leaves the solver untouched — the same atomicity the demand path gets
-// from its dry-run):
+// Topology events (applied to the solver's TreeOverlay; a batch containing
+// any of these stages them, in order with its demand events, into a clone
+// of the overlay, so a throwing event leaves the solver untouched):
 //  * kAttachSubtree  — splice `spec` under internal node `node`; the new
 //                      nodes get fresh ids appended past the current size
 //                      (returned ids are deterministic: first new id ==

@@ -17,7 +17,7 @@
 // solver cannot reach.
 // The forward pass is level-synchronous: all subtree merges at one tree
 // depth are independent, so they run as parallel chunks on the process-wide
-// solver pool (SolverPool()), each chunk leasing a reusable scratch arena.
+// solver pool (SolverPool()), each chunk leasing pooled scratch vectors.
 // Outputs are byte-identical to the serial pass at any thread count.
 // The DP core itself (tables, staircase convolution, level sweep, and
 // detail::MergeMinShift) lives in multiple/nod_dp_engine.hpp — this header

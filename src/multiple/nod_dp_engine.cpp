@@ -35,17 +35,16 @@ void MakeMonotone(NodDpEngine::CostTable& table) {
 // smallest u with table[u] <= c, for every integer cost c in [vmin, vmax]
 // (vmax = largest finite value, i.e. table[first_finite]; vmin =
 // table.back()). Leading kInf runs are skipped entirely — first_finite marks
-// where the finite staircase starts. The inv array lives in the per-chunk
-// scratch arena, reset before every merge.
-void NodDpEngine::Staircase::BuildFrom(const CostTable& table, Arena& arena) {
+// where the finite staircase starts. The inv vector belongs to the leased
+// per-chunk scratch and is refilled on every merge.
+void NodDpEngine::Staircase::BuildFrom(const CostTable& table) {
   std::size_t f = 0;
   while (f < table.size() && table[f] >= kInf) ++f;
   RPT_CHECK(f < table.size());  // every DP table has a finite entry
   first_finite = f;
   vmax = table[f];
   vmin = table.back();
-  inv = arena.AllocSpan<std::uint32_t>(static_cast<std::size_t>(vmax - vmin) + 1);
-  std::fill(inv.begin(), inv.end(), static_cast<std::uint32_t>(f));
+  inv.assign(static_cast<std::size_t>(vmax - vmin) + 1, static_cast<std::uint32_t>(f));
   Cost cur = vmax;
   for (std::size_t u = f + 1; u < table.size(); ++u) {
     while (cur > table[u]) {
@@ -157,9 +156,8 @@ void NodDpEngine::SetCapacity(Requests capacity) {
 // entry for entry.
 void NodDpEngine::Convolve(const CostTable& a, const CostTable& b, CostTable& out,
                            ConvolveScratch& scratch, std::uint64_t& cells) {
-  scratch.arena.Reset();
-  scratch.lhs.BuildFrom(a, scratch.arena);
-  scratch.rhs.BuildFrom(b, scratch.arena);
+  scratch.lhs.BuildFrom(a);
+  scratch.rhs.BuildFrom(b);
   const Staircase& lhs = scratch.lhs;
   const Staircase& rhs = scratch.rhs;
   const Cost cmin = lhs.vmin + rhs.vmin;
@@ -170,9 +168,9 @@ void NodDpEngine::Convolve(const CostTable& a, const CostTable& b, CostTable& ou
   // less, forward more" monotonicity. With j = c2 - rhs.vmin the output
   // slot for (c1, c2) is (c1 - lhs.vmin) + j, so each c1 contributes one
   // contiguous shifted-min sweep — the vectorized MergeMinShift.
-  const std::span<std::uint32_t> out_inv =
-      scratch.arena.AllocSpan<std::uint32_t>(static_cast<std::size_t>(cmax - cmin) + 1);
-  std::fill(out_inv.begin(), out_inv.end(), std::numeric_limits<std::uint32_t>::max());
+  std::vector<std::uint32_t>& out_inv = scratch.out_inv;
+  out_inv.assign(static_cast<std::size_t>(cmax - cmin) + 1,
+                 std::numeric_limits<std::uint32_t>::max());
   const std::size_t rhs_len = rhs.inv.size();
   for (Cost c1 = lhs.vmin; c1 <= lhs.vmax; ++c1) {
     const std::uint32_t ua = lhs.inv[c1 - lhs.vmin];
@@ -366,6 +364,23 @@ namespace {
 constexpr std::uint32_t kPendNil = static_cast<std::uint32_t>(-1);
 }  // namespace
 
+NodDpEngine::PendChain NodDpEngine::ChainOf(
+    std::span<const std::pair<NodeId, Requests>> pending) {
+  PendChain chain{kPendNil, kPendNil, 0};
+  for (const auto& [client, amount] : pending) {
+    const auto id = static_cast<std::uint32_t>(pend_entries_.size());
+    pend_entries_.push_back(PendEntry{client, amount, kPendNil});
+    if (chain.head == kPendNil) {
+      chain.head = id;
+    } else {
+      pend_entries_[chain.tail].next = id;
+    }
+    chain.tail = id;
+    chain.total += amount;
+  }
+  return chain;
+}
+
 NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
                                                   Solution& solution) {
   const CostTable& table = f_[node];
@@ -389,18 +404,7 @@ NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
     RPT_REQUIRE(imported_provider_ != nullptr,
                 "NodDpEngine: backtracking imported tables requires a fragment provider");
     RPT_CHECK(table[u] < kInf);
-    PendChain chain = empty_chain();
-    for (const auto& [client, amount] : imported_provider_(node, u)) {
-      const PendChain link = single_chain(client, amount);
-      if (chain.head == kPendNil) {
-        chain.head = link.head;
-      } else {
-        pend_entries_[chain.tail].next = link.head;
-      }
-      chain.tail = link.tail;
-      chain.total += amount;
-    }
-    return chain;
+    return ChainOf(imported_provider_(node, u));
   }
 
   // Fragment replay: valid iff the fragment was recorded after the subtree's
@@ -414,18 +418,7 @@ NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
                              frag.replicas.end());
     solution.assignment.insert(solution.assignment.end(), frag.entries.begin(),
                                frag.entries.end());
-    PendChain chain = empty_chain();
-    for (const auto& [client, amount] : frag.forwarded) {
-      const PendChain link = single_chain(client, amount);
-      if (chain.head == kPendNil) {
-        chain.head = link.head;
-      } else {
-        pend_entries_[chain.tail].next = link.head;
-      }
-      chain.tail = link.tail;
-      chain.total += amount;
-    }
-    return chain;
+    return ChainOf(frag.forwarded);
   }
   const std::size_t mark_replicas = solution.replicas.size();
   const std::size_t mark_entries = solution.assignment.size();

@@ -11,9 +11,10 @@
 //  * ComputeAll()       — the classic full pass: level-synchronous sweep
 //                         deepest-first, parallel chunks within a level on
 //                         the process-wide SolverPool(), per-chunk scratch
-//                         leased from a ScratchPool (see multiple_nod_dp.hpp
-//                         for the staircase-convolution details). This is
-//                         exactly what SolveMultipleNodDp runs.
+//                         vectors leased from a ScratchPool (see
+//                         multiple_nod_dp.hpp for the staircase-convolution
+//                         details). This is exactly what SolveMultipleNodDp
+//                         runs.
 //  * RecomputeDirty(S)  — the incremental pass: given the set S of touched
 //                         client leaves, only the union of their root paths
 //                         is re-processed (children before parents, parallel
@@ -61,7 +62,7 @@
 #include <vector>
 
 #include "model/solution.hpp"
-#include "support/arena.hpp"
+#include "support/scratch_pool.hpp"
 #include "tree/topology_view.hpp"
 
 namespace rpt::multiple {
@@ -147,12 +148,6 @@ class NodDpEngine {
   /// caller must run ComputeAll() before querying results again.
   void SetCapacity(Requests capacity);
 
-  [[nodiscard]] TopologyView View() const noexcept { return view_; }
-  [[nodiscard]] Requests Capacity() const noexcept { return capacity_; }
-  [[nodiscard]] Requests DemandOf(NodeId node) const { return demand_[CheckNode(node)]; }
-  [[nodiscard]] Requests SubtreeDemand(NodeId node) const {
-    return subtree_demand_[CheckNode(node)];
-  }
   [[nodiscard]] Requests TotalDemand() const noexcept { return subtree_demand_[0]; }
 
   /// True iff the current state admits a feasible Multiple-NoD placement
@@ -201,11 +196,6 @@ class NodDpEngine {
   /// ComputeAll().
   void ImportLeafTable(NodeId leaf, CostTable table);
 
-  /// True iff `leaf` carries an imported boundary table.
-  [[nodiscard]] bool IsImportedLeaf(NodeId leaf) const {
-    return imported_.contains(CheckNode(leaf));
-  }
-
   /// Budget assigned to one imported leaf by the downward budget sweep.
   struct ImportBudget {
     NodeId leaf = kInvalidNode;
@@ -253,20 +243,21 @@ class NodDpEngine {
   [[nodiscard]] std::uint64_t LastPassNodes() const noexcept { return last_pass_nodes_; }
 
  private:
-  // Per-chunk scratch: two input staircases plus the output inverse, all
-  // bump-allocated from one arena reset per convolution (zero steady-state
-  // allocation; slabs reused across merges, levels, and passes).
+  // Per-chunk scratch: two input staircases plus the output inverse, three
+  // vectors refilled by assign() on every convolution. The scratch is leased
+  // from scratch_pool_, so its capacity is reused across merges, levels, and
+  // passes (no steady-state allocation).
   struct Staircase {
     Cost vmin = 0;
     Cost vmax = 0;
     std::size_t first_finite = 0;
-    std::span<std::uint32_t> inv;
-    void BuildFrom(const CostTable& table, Arena& arena);
+    std::vector<std::uint32_t> inv;
+    void BuildFrom(const CostTable& table);
   };
   struct ConvolveScratch {
-    Arena arena;
     Staircase lhs;
     Staircase rhs;
+    std::vector<std::uint32_t> out_inv;
   };
   struct ChunkCounters {
     std::uint64_t entries = 0;
@@ -326,6 +317,9 @@ class NodDpEngine {
   // never depends on a fragment being cached.
   static constexpr std::size_t kFragEntryBudget = std::size_t{1} << 21;
   PendChain BacktrackNode(NodeId node, std::size_t budget, Solution& solution);
+  /// Appends one pending entry per (client, amount) pair, in order, and
+  /// returns them linked as one chain (a replayed forwarded list).
+  PendChain ChainOf(std::span<const std::pair<NodeId, Requests>> pending);
 
   /// Shared table-arithmetic core of reconstruction at internal `node` with
   /// clamped budget `u`: decides the replica bit and splits the (possibly

@@ -24,6 +24,7 @@
 #include "runner/batch_runner.hpp"
 #include "single/single_nod.hpp"
 #include "support/thread_pool.hpp"
+#include "tree/serialize.hpp"
 
 namespace rpt::incremental {
 namespace {
@@ -269,9 +270,11 @@ INSTANTIATE_TEST_SUITE_P(SolverPoolWidths, IncrementalEquivalence, ::testing::Va
 // Every observable facet of a solver's state, for byte-identity checks
 // after rejected batches (the solution hash alone would not catch a
 // partially applied demand column that happens to re-solve to the same
-// placement, or a corrupted stats counter).
+// placement, a half-written overlay request column, or a corrupted stats
+// counter).
 struct SolverStateImage {
   std::vector<Requests> demands;
+  std::string overlay;  // WriteOverlay text of ExportOverlay()
   Requests capacity = 0;
   Requests total_demand = 0;
   bool feasible = false;
@@ -282,6 +285,7 @@ struct SolverStateImage {
 SolverStateImage CaptureState(const IncrementalSolver& solver) {
   SolverStateImage image;
   image.demands.assign(solver.Demands().begin(), solver.Demands().end());
+  image.overlay = OverlayToString(solver.ExportOverlay());
   image.capacity = solver.Capacity();
   image.total_demand = solver.TotalDemand();
   image.feasible = solver.Feasible();
@@ -293,6 +297,7 @@ SolverStateImage CaptureState(const IncrementalSolver& solver) {
 void ExpectStateEquals(const SolverStateImage& before, const IncrementalSolver& solver) {
   const SolverStateImage after = CaptureState(solver);
   EXPECT_EQ(after.demands, before.demands);
+  EXPECT_EQ(after.overlay, before.overlay);
   EXPECT_EQ(after.capacity, before.capacity);
   EXPECT_EQ(after.total_demand, before.total_demand);
   EXPECT_EQ(after.feasible, before.feasible);
@@ -339,17 +344,27 @@ TEST(IncrementalSolver, BadEventsThrowAndLeaveStateUntouched) {
       {UpdateEvent::ClientAdd(dark, 5), UpdateEvent::DemandDelta(dark, kMaxDelta),
        UpdateEvent::DemandDelta(dark, kMaxDelta)},
   };
-  for (std::size_t i = 0; i < bad_batches.size(); ++i) {
-    SCOPED_TRACE("batch " + std::to_string(i));
-    EXPECT_THROW((void)solver.Apply(bad_batches[i]), InvalidArgument);
-    ExpectStateEquals(with_dark, solver);
-  }
+  const auto expect_all_rejected = [&](const SolverStateImage& image) {
+    for (std::size_t i = 0; i < bad_batches.size(); ++i) {
+      SCOPED_TRACE("batch " + std::to_string(i));
+      EXPECT_THROW((void)solver.Apply(bad_batches[i]), InvalidArgument);
+      ExpectStateEquals(image, solver);
+    }
+  };
+  expect_all_rejected(with_dark);
+
+  // The same batches once a topology batch has moved the solver onto its
+  // overlay, whose request column a demand-only batch writes at commit.
+  ASSERT_TRUE(solver.Apply(std::vector<UpdateEvent>{UpdateEvent::AttachSubtree(
+      instance.GetTree().Parent(client), SubtreeSpec::SingleClient(2, 5))}));
+  ASSERT_TRUE(solver.HasTopologyChanges());
+  expect_all_rejected(CaptureState(solver));
 
   // The solver is not poisoned: a good batch after the rejections applies
   // normally and the state still matches the from-scratch oracle.
   ASSERT_TRUE(solver.Apply(std::vector<UpdateEvent>{UpdateEvent::ClientAdd(dark, 4),
                                                     UpdateEvent::DemandDelta(client, 3)}));
-  EXPECT_EQ(solver.Stats().events_applied, before.stats.events_applied + 3);
+  EXPECT_EQ(solver.Stats().events_applied, before.stats.events_applied + 4);
   ExpectMatchesOracle(solver, "after rejected batches");
 }
 
@@ -475,6 +490,14 @@ TEST(IncrementalSolver, StatsCountReusedWork) {
   // A delta of zero is legal but touches nothing.
   ASSERT_TRUE(solver.Apply(std::vector<UpdateEvent>{UpdateEvent::DemandDelta(client, 0)}));
   EXPECT_EQ(solver.Stats().nodes_recomputed, recomputed_before);
+
+  // Next to a topology event the same zero delta seeds its client: a
+  // topology batch seeds every client a demand event names. The link event
+  // seeds nothing, so exactly the client's root path re-runs (8 nodes).
+  ASSERT_TRUE(solver.Apply(std::vector<UpdateEvent>{UpdateEvent::DemandDelta(client, 0),
+                                                    UpdateEvent::LinkCapacity(client, 2)}));
+  EXPECT_EQ(solver.Stats().nodes_recomputed - recomputed_before, chain);
+  EXPECT_EQ(chain, 8u);
 }
 
 TEST(TraceGenerator, DeterministicAndLegal) {

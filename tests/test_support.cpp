@@ -7,10 +7,10 @@
 #include <set>
 #include <sstream>
 
-#include "support/arena.hpp"
 #include "support/cli.hpp"
 #include "support/common.hpp"
 #include "support/rng.hpp"
+#include "support/scratch_pool.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -336,39 +336,6 @@ TEST(ThreadPool, SolverPoolFollowsConfiguredWidth) {
   SetSolverThreads(1);  // serial: no pool at all
   EXPECT_EQ(SolverPool(), nullptr);
   EXPECT_EQ(SolverThreads(), 1u);
-}
-
-TEST(Arena, SpansAreDisjointAndResetReusesSlabs) {
-  Arena arena(/*slab_bytes=*/256);
-  auto a = arena.AllocSpan<std::uint32_t>(16);
-  auto b = arena.AllocSpan<std::uint32_t>(16);
-  ASSERT_EQ(a.size(), 16u);
-  ASSERT_EQ(b.size(), 16u);
-  for (std::size_t i = 0; i < 16; ++i) {
-    a[i] = static_cast<std::uint32_t>(i);
-    b[i] = static_cast<std::uint32_t>(100 + i);
-  }
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(a[i], i);  // b's writes did not alias a
-    EXPECT_EQ(b[i], 100 + i);
-  }
-  const std::size_t reserved = arena.BytesReserved();
-  EXPECT_GT(reserved, 0u);
-  arena.Reset();
-  (void)arena.AllocSpan<std::uint32_t>(16);
-  (void)arena.AllocSpan<std::uint32_t>(16);
-  EXPECT_EQ(arena.BytesReserved(), reserved);  // steady state: no new slabs
-}
-
-TEST(Arena, OversizedRequestGetsDedicatedSlab) {
-  Arena arena(/*slab_bytes=*/64);
-  auto big = arena.AllocSpan<std::uint64_t>(1000);  // 8000 bytes >> slab
-  ASSERT_EQ(big.size(), 1000u);
-  big.front() = 1;
-  big.back() = 2;
-  EXPECT_EQ(big.front(), 1u);
-  EXPECT_EQ(big.back(), 2u);
-  EXPECT_EQ(arena.AllocSpan<std::uint64_t>(0).size(), 0u);
 }
 
 TEST(ScratchPool, LeasesAreDistinctAndRecycled) {
