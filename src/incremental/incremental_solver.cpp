@@ -53,17 +53,25 @@ IncrementalSolver::IncrementalSolver(const Instance& base, TreeOverlay restored,
   Resolve({}, /*full=*/true);
 }
 
+// Writes each client's demand into the overlay's request column, falls
+// first: the column's running total then never passes the larger of its
+// starting and final totals, so SetRequests's overflow guard cannot reject a
+// state whose totals both fit, whatever order the clients come in.
+static void WriteRequests(TreeOverlay& overlay, std::span<const NodeId> clients,
+                          std::span<const Requests> demand) {
+  for (const NodeId client : clients) {
+    if (demand[client] < overlay.RequestsOf(client)) overlay.SetRequests(client, demand[client]);
+  }
+  for (const NodeId client : clients) overlay.SetRequests(client, demand[client]);
+}
+
 std::unique_ptr<TreeOverlay> IncrementalSolver::PromoteBaseOverlay() const {
   // The base tree's request column is construction-time state: demand-only
   // batches before a promotion updated demand_ with no overlay to mirror
   // into, so sync the live column or the promoted overlay would silently
   // revert those clients to stale demands.
   auto fresh = std::make_unique<TreeOverlay>(tree_);
-  for (const NodeId client : tree_.Clients()) {
-    if (fresh->RequestsOf(client) != demand_[client]) {
-      fresh->SetRequests(client, demand_[client]);
-    }
-  }
+  WriteRequests(*fresh, tree_.Clients(), demand_);
   return fresh;
 }
 
@@ -225,7 +233,8 @@ bool IncrementalSolver::Apply(std::span<const UpdateEvent> events) {
     }
   }
 
-  // Commit. Nothing below throws on valid input.
+  // Commit. Nothing below throws on valid input: WriteRequests stays within
+  // the current and staged totals, both of which fit.
   const bool capacity_changed = capacity != capacity_;
   capacity_ = capacity;
   total_demand_ = static_cast<Requests>(total);
@@ -246,9 +255,9 @@ bool IncrementalSolver::Apply(std::span<const UpdateEvent> events) {
   } else {
     // A demand-only batch never clones the overlay: it writes the changed
     // clients into the live request column and the engine's demand mirror.
-    for (const NodeId client : seeds) {
-      if (overlay_) overlay_->SetRequests(client, demand[client]);
-      if (engine_) engine_->SetDemand(client, demand[client]);
+    if (overlay_) WriteRequests(*overlay_, seeds, demand);
+    if (engine_) {
+      for (const NodeId client : seeds) engine_->SetDemand(client, demand[client]);
     }
   }
   demand_ = std::move(demand);

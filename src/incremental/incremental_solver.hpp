@@ -22,7 +22,7 @@
 // and, when the batch has a topology event, to a clone of the overlay; a
 // throwing event discards the copies and leaves the solver untouched. A
 // demand-only batch never clones the overlay: its commit writes the changed
-// clients into the live one.
+// clients into the live one, falls first, so no write passes the staged total.
 // View() exposes the current topology; ids are stable for the solver's
 // lifetime (attach appends fresh ids, detach tombstones forever).
 //

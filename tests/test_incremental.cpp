@@ -400,6 +400,45 @@ TEST(IncrementalSolver, NearLimitDemandsApplyWithoutWrapping) {
       UpdateEvent::DemandDelta(client, -1)}));
   EXPECT_EQ(solver.TotalDemand(), 0u);
   EXPECT_TRUE(solver.Feasible());
+
+  // On an overlay, a batch whose running total stays in range must also
+  // commit when a client rises before another falls: a=max-2, b=1, then
+  // a+1, b-1, a+1 reads max, max-1, max.
+  const NodeId other = instance.GetTree().Clients()[1];
+  ASSERT_TRUE(solver.Apply(std::vector<UpdateEvent>{UpdateEvent::LinkCapacity(client, 2)}));
+  ASSERT_FALSE(solver.Apply(std::vector<UpdateEvent>{
+      UpdateEvent::DemandDelta(client, kMaxDelta), UpdateEvent::DemandDelta(client, kMaxDelta - 1),
+      UpdateEvent::ClientAdd(other, 1)}));
+  ASSERT_FALSE(solver.Apply(std::vector<UpdateEvent>{UpdateEvent::DemandDelta(client, 1),
+                                                     UpdateEvent::DemandDelta(other, -1),
+                                                     UpdateEvent::DemandDelta(client, 1)}));
+  EXPECT_EQ(solver.DemandOf(client), std::numeric_limits<Requests>::max());
+  EXPECT_EQ(solver.DemandOf(other), 0u);
+  EXPECT_EQ(solver.TotalDemand(), std::numeric_limits<Requests>::max());
+  EXPECT_EQ(solver.ExportOverlay().TotalRequests(), solver.TotalDemand());
+}
+
+TEST(IncrementalSolver, PromotionSwapsNearLimitDemandsWithoutWrapping) {
+  // The base tree holds b=max. Demand-only batches swap it onto a with no
+  // overlay to write into; promoting the base tree for a topology batch (or
+  // an export) must then carry a=max, b=0 over without passing the limit.
+  constexpr Requests kMax = std::numeric_limits<Requests>::max();
+  const std::vector<Requests> requests{0, kMax};
+  const Instance instance(gen::MakeStar(2, requests), /*capacity=*/10);
+  IncrementalSolver solver(instance, {Engine::kIncremental, Policy::kSingle});
+  const NodeId a = instance.GetTree().Clients()[0];
+  const NodeId b = instance.GetTree().Clients()[1];
+  constexpr std::int64_t kMaxDelta = std::numeric_limits<std::int64_t>::max();
+
+  ASSERT_FALSE(solver.Apply(std::vector<UpdateEvent>{
+      UpdateEvent::ClientRemove(b), UpdateEvent::DemandDelta(a, kMaxDelta),
+      UpdateEvent::DemandDelta(a, kMaxDelta), UpdateEvent::DemandDelta(a, 1)}));
+  EXPECT_EQ(solver.ExportOverlay().RequestsOf(a), kMax);
+  ASSERT_FALSE(solver.Apply(std::vector<UpdateEvent>{UpdateEvent::LinkCapacity(a, 2)}));
+  EXPECT_TRUE(solver.HasTopologyChanges());
+  EXPECT_EQ(solver.DemandOf(a), kMax);
+  EXPECT_EQ(solver.DemandOf(b), 0u);
+  EXPECT_EQ(solver.ExportOverlay().TotalRequests(), kMax);
 }
 
 TEST(IncrementalSolver, AddRemoveLifecycle) {
