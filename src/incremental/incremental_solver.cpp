@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
+#include <optional>
 #include <utility>
 
 #include "multiple/multiple_nod_dp.hpp"
@@ -15,41 +15,17 @@ const char* EngineName(Engine engine) noexcept {
 }
 
 IncrementalSolver::IncrementalSolver(const Instance& instance, Options options)
-    : tree_(instance.GetTree()),
-      options_(options),
-      capacity_(instance.Capacity()),
-      demand_(tree_.Size()) {
-  RPT_REQUIRE(!instance.HasDistanceConstraint(),
-              "incremental: only valid without distance constraints (NoD)");
-  if (options_.engine == Engine::kIncremental && options_.policy == Policy::kMultiple) {
-    engine_.emplace(tree_, capacity_);
-  }
-  for (NodeId id = 0; id < tree_.Size(); ++id) demand_[id] = tree_.RequestsOf(id);
-  total_demand_ = tree_.TotalRequests();
-  Resolve({}, /*full=*/true);
-}
+    : IncrementalSolver(instance, TreeOverlay(instance.GetTree()), instance.Capacity(), options) {}
 
 IncrementalSolver::IncrementalSolver(const Instance& base, TreeOverlay restored,
                                      Requests capacity, Options options)
-    : tree_(base.GetTree()),
-      overlay_(std::make_unique<TreeOverlay>(std::move(restored))),
-      options_(options),
-      capacity_(capacity),
-      demand_(overlay_->Size()) {
+    : overlay_(std::move(restored)), options_(options), capacity_(capacity) {
   RPT_REQUIRE(!base.HasDistanceConstraint(),
               "incremental: only valid without distance constraints (NoD)");
   RPT_REQUIRE(capacity_ > 0, "incremental: restored capacity must be positive");
   if (options_.engine == Engine::kIncremental && options_.policy == Policy::kMultiple) {
-    engine_.emplace(TopologyView(*overlay_), capacity_);
+    engine_.emplace(View(), capacity_);
   }
-  // The overlay's request column IS the demand state (SetRequests mirrors
-  // every demand event into it), so the restored overlay carries demands.
-  for (NodeId id = 0; id < overlay_->Size(); ++id) {
-    demand_[id] = overlay_->IsLive(id) && overlay_->IsClient(id)
-                      ? overlay_->RequestsOf(id)
-                      : 0;
-  }
-  total_demand_ = overlay_->TotalRequests();
   Resolve({}, /*full=*/true);
 }
 
@@ -65,37 +41,8 @@ static void WriteRequests(TreeOverlay& overlay, std::span<const NodeId> clients,
   for (const NodeId client : clients) overlay.SetRequests(client, demand[client]);
 }
 
-std::unique_ptr<TreeOverlay> IncrementalSolver::PromoteBaseOverlay() const {
-  // The base tree's request column is construction-time state: demand-only
-  // batches before a promotion updated demand_ with no overlay to mirror
-  // into, so sync the live column or the promoted overlay would silently
-  // revert those clients to stale demands.
-  auto fresh = std::make_unique<TreeOverlay>(tree_);
-  WriteRequests(*fresh, tree_.Clients(), demand_);
-  return fresh;
-}
-
-TreeOverlay IncrementalSolver::ExportOverlay() const {
-  if (overlay_) return *overlay_;
-  return *PromoteBaseOverlay();
-}
-
-Requests IncrementalSolver::DemandOf(NodeId client) const {
-  RPT_REQUIRE(client < demand_.size(), "incremental: node id out of range");
-  return demand_[client];
-}
-
 IncrementalSolver::Materialized IncrementalSolver::MaterializeCompact() const {
-  if (!HasTopologyChanges()) {
-    std::vector<NodeId> identity(demand_.size());
-    std::iota(identity.begin(), identity.end(), NodeId{0});
-    return Materialized{Instance(overlay_ ? overlay_->Compact().tree : tree_.WithRequests(demand_),
-                                 capacity_),
-                        std::move(identity)};
-  }
-  // The overlay's request column mirrors demand_, so the compacted tree
-  // already carries the current demands.
-  TreeOverlay::CompactResult compact = overlay_->Compact();
+  TreeOverlay::CompactResult compact = overlay_.Compact();
   return Materialized{Instance(std::move(compact.tree), capacity_), std::move(compact.remap)};
 }
 
@@ -120,13 +67,11 @@ bool IncrementalSolver::Apply(std::span<const UpdateEvent> events) {
   constexpr Requests kMaxDemand = std::numeric_limits<Requests>::max();
   const auto topology_events =
       static_cast<std::uint64_t>(std::ranges::count_if(events, &UpdateEvent::IsTopology));
-  std::unique_ptr<TreeOverlay> next;
-  if (topology_events > 0) {
-    next = overlay_ ? std::make_unique<TreeOverlay>(*overlay_) : PromoteBaseOverlay();
-  }
+  std::optional<TreeOverlay> next;
+  if (topology_events > 0) next.emplace(overlay_);
   const TopologyView view = next ? TopologyView(*next) : View();
-  std::vector<Requests> demand = demand_;
-  unsigned __int128 total = total_demand_;
+  std::vector<Requests> demand(Demands().begin(), Demands().end());
+  unsigned __int128 total = TotalDemand();
   Requests capacity = capacity_;
   std::vector<NodeId> seeds;             // dirty-chain seeds, filtered to live at commit
   std::vector<NodeId> children_changed;  // parents whose child list shrank/reordered
@@ -237,30 +182,25 @@ bool IncrementalSolver::Apply(std::span<const UpdateEvent> events) {
   // the current and staged totals, both of which fit.
   const bool capacity_changed = capacity != capacity_;
   capacity_ = capacity;
-  total_demand_ = static_cast<Requests>(total);
   stats_.events_applied += events.size();
   stats_.topology_events += topology_events;
   if (next) {
-    overlay_ = std::move(next);
+    overlay_ = std::move(*next);
     // Later events in the batch may have killed nodes an earlier event
     // recorded (attach-then-detach, detach below a detach): drop dead
     // entries — a dead seed's chain is either gone or re-seeded via its
     // parent.
     const auto drop_dead = [this](std::vector<NodeId>& ids) {
-      std::erase_if(ids, [this](NodeId id) { return !overlay_->IsLive(id); });
+      std::erase_if(ids, [this](NodeId id) { return !overlay_.IsLive(id); });
     };
     drop_dead(seeds);
     drop_dead(children_changed);
-    if (engine_) engine_->ApplyTopology(TopologyView(*overlay_), children_changed, removed);
+    if (engine_) engine_->ApplyTopology(View(), children_changed, removed);
   } else {
     // A demand-only batch never clones the overlay: it writes the changed
-    // clients into the live request column and the engine's demand mirror.
-    if (overlay_) WriteRequests(*overlay_, seeds, demand);
-    if (engine_) {
-      for (const NodeId client : seeds) engine_->SetDemand(client, demand[client]);
-    }
+    // clients into the live request column.
+    WriteRequests(overlay_, seeds, demand);
   }
-  demand_ = std::move(demand);
   Resolve(seeds, /*full=*/capacity_changed);
   return feasible_;
 }
@@ -276,14 +216,14 @@ void IncrementalSolver::Resolve(std::span<const NodeId> touched, bool full) {
     // Single-nod needs every demand to fit one server (r_i <= W); above
     // that the state is infeasible — a state, not an error.
     for (const NodeId client : view.Clients()) {
-      if (demand_[client] > capacity_) {
+      if (view.RequestsOf(client) > capacity_) {
         feasible_ = false;
         solution_ = Solution{};
         return;
       }
     }
     feasible_ = true;
-    solution_ = single::SolveSingleNod(view, capacity_, demand_).solution;
+    solution_ = single::SolveSingleNod(view, capacity_).solution;
     solution_.Canonicalize();
     return;
   }

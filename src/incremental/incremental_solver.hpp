@@ -14,17 +14,16 @@
 // verbatim, and independent dirty chains recompute in parallel
 // (ParallelForChunked on the process-wide SolverPool()).
 //
-// Topology: the solver starts on the instance's immutable CSR Tree. The
-// first batch containing a topology event promotes it to a private
-// TreeOverlay (tree/tree_overlay.hpp) — a delta view with appended ids and
-// tombstones — and every later state lives there. Every batch runs one
+// Topology and demand: the solver owns a TreeOverlay (tree/tree_overlay.hpp)
+// from construction — a delta view with appended ids and tombstones — and
+// the overlay's request column is its one demand state. Every batch runs one
 // staging loop: its events apply in order to a copy of the demand column
 // and, when the batch has a topology event, to a clone of the overlay; a
 // throwing event discards the copies and leaves the solver untouched. A
 // demand-only batch never clones the overlay: its commit writes the changed
 // clients into the live one, falls first, so no write passes the staged total.
-// View() exposes the current topology; ids are stable for the solver's
-// lifetime (attach appends fresh ids, detach tombstones forever).
+// View() exposes the current topology and demand; ids are stable for the
+// solver's lifetime (attach appends fresh ids, detach tombstones forever).
 //
 // Guarantees:
 //  * Equivalence — after every Apply() the solution is byte-identical
@@ -46,13 +45,12 @@
 // whole solution anyway, so per-node caches of the pass would save little.
 // Both policies require a NoD instance (no distance constraint).
 //
-// Ownership/lifetime: the solver keeps a reference to the instance's Tree
-// (the overlay base); the Instance passed to the constructor must outlive
-// the solver. Not thread-safe: one solver per thread of control.
+// Ownership/lifetime: the overlay copies what it needs out of the instance's
+// Tree, so the Instance passed to a constructor may be destroyed once the
+// constructor returns. Not thread-safe: one solver per thread of control.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -89,16 +87,16 @@ class IncrementalSolver {
 
   /// Solves `instance` from scratch (the warm state every later Apply()
   /// updates). Requires no distance constraint; throws InvalidArgument
-  /// otherwise. The instance must outlive the solver.
+  /// otherwise.
   explicit IncrementalSolver(const Instance& instance, Options options = {});
 
   /// Restore constructor (the crash-recovery path): seeds the solver from a
   /// previously exported overlay — see ExportOverlay() — instead of the
-  /// base instance's own topology/demands. `base` supplies the overlay's
-  /// base Tree (ids must match; the instance must outlive the solver) and
-  /// `capacity` the current W, which may have diverged from the instance's
-  /// via kCapacity events. Solves the restored state from scratch, so the
-  /// DP tables are warm before the WAL tail replays.
+  /// base instance's own topology/demands. `base` is only checked for a
+  /// distance constraint, and `capacity` is the current W, which may have
+  /// diverged from the instance's via kCapacity events. Solves the restored
+  /// state from scratch, so the DP tables are warm before the WAL tail
+  /// replays.
   IncrementalSolver(const Instance& base, TreeOverlay restored,
                     Requests capacity, Options options = {});
 
@@ -119,33 +117,31 @@ class IncrementalSolver {
   /// ids, canonical form; empty when infeasible.
   [[nodiscard]] const Solution& Current() const noexcept { return solution_; }
 
-  /// The current topology: the base Tree until the first topology event,
-  /// the solver's private overlay afterwards. Valid until the next Apply().
-  [[nodiscard]] TopologyView View() const noexcept {
-    return overlay_ ? TopologyView(*overlay_) : TopologyView(tree_);
-  }
-  /// True iff the topology has diverged from the base tree.
+  /// The current topology and demand: the solver's overlay. Valid until
+  /// the next Apply().
+  [[nodiscard]] TopologyView View() const noexcept { return overlay_; }
+  /// True iff the overlay has seen a topology event (or was deserialized).
   [[nodiscard]] bool HasTopologyChanges() const noexcept {
-    return overlay_ != nullptr && overlay_->TopologyVersion() > 0;
+    return overlay_.TopologyVersion() > 0;
   }
   [[nodiscard]] Requests Capacity() const noexcept { return capacity_; }
-  [[nodiscard]] Requests DemandOf(NodeId client) const;
   /// The whole per-node demand column (indexed by view NodeId; internal and
   /// dead entries 0) of the current state — the snapshot-export hook for the
   /// serve layer: a serve::PlacementSnapshot is built from exactly (View(),
   /// Capacity(), Demands(), Current()). Valid until the next Apply(); copy
   /// before publishing across threads (PlacementSnapshot::Build does).
-  [[nodiscard]] std::span<const Requests> Demands() const noexcept { return demand_; }
-  [[nodiscard]] Requests TotalDemand() const noexcept { return total_demand_; }
+  [[nodiscard]] std::span<const Requests> Demands() const noexcept {
+    return overlay_.RequestsColumn();
+  }
+  [[nodiscard]] Requests TotalDemand() const noexcept { return overlay_.TotalRequests(); }
   [[nodiscard]] const IncrementalStats& Stats() const noexcept { return stats_; }
   [[nodiscard]] const Options& GetOptions() const noexcept { return options_; }
 
   /// Snapshot of the current (topology, demands, capacity) state as a
-  /// standalone Instance plus the id translation into it. With no topology
-  /// changes the map is the identity and the tree is Tree::WithRequests;
-  /// after topology events the overlay is compacted through
-  /// TreeBuilder::Build (remap[view_id] == instance id, kInvalidNode for
-  /// tombstones). This is exactly what the kFullResolve oracle solves.
+  /// standalone Instance plus the id translation into it: the overlay
+  /// compacted through TreeBuilder::Build (remap[view_id] == instance id,
+  /// kInvalidNode for tombstones; the identity until the first topology
+  /// event). This is exactly what the kFullResolve oracle solves.
   struct Materialized {
     Instance instance;
     std::vector<NodeId> remap;
@@ -161,23 +157,16 @@ class IncrementalSolver {
   /// recorded against these ids replay unchanged against a solver rebuilt
   /// via the restore constructor. This is what a serve-layer checkpoint
   /// persists (capacity travels separately). O(|view|).
-  [[nodiscard]] TreeOverlay ExportOverlay() const;
+  [[nodiscard]] TreeOverlay ExportOverlay() const { return overlay_; }
 
  private:
-  /// Promotes the base tree to a fresh overlay with the live demand column
-  /// mirrored in (demand-only batches may have diverged demand_ from the
-  /// base tree's construction-time requests).
-  [[nodiscard]] std::unique_ptr<TreeOverlay> PromoteBaseOverlay() const;
   void Resolve(std::span<const NodeId> touched, bool capacity_changed);
 
-  const Tree& tree_;
-  /// Engaged by the first topology event; once set, never reset (View()
-  /// binds to it). Clone-and-swapped by every later topology batch.
-  std::unique_ptr<TreeOverlay> overlay_;
+  /// Topology plus the one demand column. A topology batch stages into a
+  /// clone and move-assigns it back, so the engine's view keeps its address.
+  TreeOverlay overlay_;
   Options options_;
   Requests capacity_;
-  std::vector<Requests> demand_;  // source of truth, mirrored into the engine
-  Requests total_demand_ = 0;
   /// Long-lived DP tables; engaged only for (kMultiple, kIncremental) — the
   /// full-resolve oracle and the single policy keep no warm state, so they
   /// skip the engine's O(n) columns entirely.

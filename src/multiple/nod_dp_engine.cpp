@@ -33,15 +33,13 @@ void MakeMonotone(NodDpEngine::CostTable& table) {
 
 // Inverse staircase of a monotone non-increasing table: inv[c - vmin] is the
 // smallest u with table[u] <= c, for every integer cost c in [vmin, vmax]
-// (vmax = largest finite value, i.e. table[first_finite]; vmin =
-// table.back()). Leading kInf runs are skipped entirely — first_finite marks
-// where the finite staircase starts. The inv vector belongs to the leased
-// per-chunk scratch and is refilled on every merge.
+// (vmax = largest finite value, i.e. the first entry below kInf; vmin =
+// table.back()). Leading kInf runs are skipped entirely. The inv vector
+// belongs to the leased per-chunk scratch and is refilled on every merge.
 void NodDpEngine::Staircase::BuildFrom(const CostTable& table) {
   std::size_t f = 0;
   while (f < table.size() && table[f] >= kInf) ++f;
   RPT_CHECK(f < table.size());  // every DP table has a finite entry
-  first_finite = f;
   vmax = table[f];
   vmin = table.back();
   inv.assign(static_cast<std::size_t>(vmax - vmin) + 1, static_cast<std::uint32_t>(f));
@@ -57,19 +55,12 @@ void NodDpEngine::Staircase::BuildFrom(const CostTable& table) {
 NodDpEngine::NodDpEngine(TopologyView view, Requests capacity)
     : view_(view),
       capacity_(capacity),
-      demand_(view.Size()),
-      subtree_demand_(view.Size()),
       f_(view.Size()),
       prefixes_(view.Size()),
       last_dirty_pass_(view.Size(), 0),
       force_prefix_rebuild_(view.Size(), 0),
       frag_(view.Size()) {
   RPT_REQUIRE(capacity_ > 0, "NodDpEngine: capacity must be positive");
-  for (NodeId id = 0; id < view_.Size(); ++id) {
-    if (!view_.IsLive(id)) continue;
-    demand_[id] = view_.RequestsOf(id);
-    subtree_demand_[id] = view_.SubtreeRequests(id);
-  }
   RebuildLevels();
 }
 
@@ -85,37 +76,15 @@ void NodDpEngine::RebuildLevels() {
   }
 }
 
-void NodDpEngine::SetDemand(NodeId client, Requests demand) {
-  RPT_REQUIRE(view_.IsLive(CheckNode(client)), "NodDpEngine: demand belongs to live nodes");
-  RPT_REQUIRE(view_.IsClient(client), "NodDpEngine: demand belongs to client leaves");
-  const Requests old = demand_[client];
-  if (old == demand) return;
-  demand_[client] = demand;
-  for (NodeId cur = client;; cur = view_.Parent(cur)) {
-    subtree_demand_[cur] = subtree_demand_[cur] - old + demand;
-    if (cur == view_.Root()) break;
-  }
-}
-
 void NodDpEngine::ApplyTopology(TopologyView view, std::span<const NodeId> children_changed,
                                 std::span<const NodeId> removed) {
   view_ = view;
   const std::size_t n = view_.Size();
-  demand_.resize(n, 0);
-  subtree_demand_.resize(n, 0);
   f_.resize(n);
   prefixes_.resize(n);
   last_dirty_pass_.resize(n, 0);
   force_prefix_rebuild_.resize(n, 0);
   frag_.resize(n);
-  // Demand mirrors refresh wholesale: the overlay's request column is
-  // authoritative after attach/detach (O(n), dwarfed by the DP work the
-  // batch triggers anyway).
-  for (NodeId id = 0; id < n; ++id) {
-    if (!view_.IsLive(id)) continue;
-    demand_[id] = view_.RequestsOf(id);
-    subtree_demand_[id] = view_.SubtreeRequests(id);
-  }
   for (const NodeId dead : removed) {
     CheckNode(dead);
     // Free the dead subtree's tables and reclaim its fragment budget; its
@@ -207,12 +176,12 @@ void NodDpEngine::ProcessNode(NodeId node, std::size_t first_child, ConvolveScra
       const auto it = imported_.find(node);
       if (it != imported_.end()) {
         f_[node] = it->second;
-        RPT_CHECK(f_[node].size() == static_cast<std::size_t>(subtree_demand_[node]) + 1);
+        RPT_CHECK(f_[node].size() == static_cast<std::size_t>(view_.SubtreeRequests(node)) + 1);
         counters.entries += f_[node].size();
         return;
       }
     }
-    const Requests r = demand_[node];
+    const Requests r = view_.RequestsOf(node);
     CostTable& table = f_[node];
     table.assign(static_cast<std::size_t>(r) + 1, kInf);
     table[static_cast<std::size_t>(r)] = 0;  // no replica: forward everything
@@ -221,7 +190,7 @@ void NodDpEngine::ProcessNode(NodeId node, std::size_t first_child, ConvolveScra
       table[u] = std::min<Cost>(table[u], 1);  // replica: serve min(r, W) locally
     }
     MakeMonotone(table);
-    RPT_CHECK(table.size() == static_cast<std::size_t>(subtree_demand_[node]) + 1);
+    RPT_CHECK(table.size() == static_cast<std::size_t>(view_.SubtreeRequests(node)) + 1);
     counters.entries += table.size();
     return;
   }
@@ -242,7 +211,7 @@ void NodDpEngine::ProcessNode(NodeId node, std::size_t first_child, ConvolveScra
   }
   const CostTable& g = prefix.back();
   const std::size_t total = g.size() - 1;  // subtree request total below node
-  RPT_CHECK(total == static_cast<std::size_t>(subtree_demand_[node]));
+  RPT_CHECK(total == static_cast<std::size_t>(view_.SubtreeRequests(node)));
   CostTable& table = f_[node];
   table.assign(total + 1, kInf);
   for (std::size_t u = 0; u <= total; ++u) {
@@ -454,7 +423,7 @@ NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
 
   if (view_.IsClient(node)) {
     const auto leaf_chain = [&]() -> PendChain {
-      const Requests r = demand_[node];
+      const Requests r = view_.RequestsOf(node);
       if (r == 0) return empty_chain();
       if (cost == 0) return single_chain(node, r);  // no replica, forward all
       // Replica: serve as much as possible locally, forward the remainder.
@@ -574,7 +543,7 @@ bool NodDpEngine::SplitBudget(NodeId node, std::size_t u, std::size_t* child_bud
 void NodDpEngine::ImportLeafTable(NodeId leaf, CostTable table) {
   RPT_REQUIRE(view_.IsLive(CheckNode(leaf)), "NodDpEngine: imported tables belong to live nodes");
   RPT_REQUIRE(view_.IsClient(leaf), "NodDpEngine: imported tables belong to client leaves");
-  RPT_REQUIRE(table.size() == static_cast<std::size_t>(subtree_demand_[leaf]) + 1,
+  RPT_REQUIRE(table.size() == static_cast<std::size_t>(view_.SubtreeRequests(leaf)) + 1,
               "NodDpEngine: imported table must span the leaf demand (size = demand + 1)");
   RPT_REQUIRE(table.back() < kInf, "NodDpEngine: imported table needs a finite entry");
   for (std::size_t u = 1; u < table.size(); ++u) {

@@ -2,11 +2,11 @@
 // SolveMultipleNodDp so the same tables can serve both batch solves and the
 // incremental re-solve engine (src/incremental/).
 //
-// The engine owns the full DP state for one tree: a mutable per-client
-// demand overlay (initialized from the tree's request column), the per-node
-// F tables (F_j(u) = min replicas in subtree(j) forwarding at most u
-// requests above j), and the per-internal-node prefix tables G_0..G_k used
-// by backtracking. Two forward passes share every kernel:
+// The engine owns the DP tables for one tree: the per-node F tables (F_j(u)
+// = min replicas in subtree(j) forwarding at most u requests above j) and
+// the per-internal-node prefix tables G_0..G_k used by backtracking. Demand
+// is not engine state: every pass reads RequestsOf/SubtreeRequests from the
+// view it runs over. Two forward passes share every kernel:
 //
 //  * ComputeAll()       — the classic full pass: level-synchronous sweep
 //                         deepest-first, parallel chunks within a level on
@@ -16,8 +16,8 @@
 //                         details). This is exactly what SolveMultipleNodDp
 //                         runs.
 //  * RecomputeDirty(S)  — the incremental pass: given the set S of touched
-//                         client leaves, only the union of their root paths
-//                         is re-processed (children before parents, parallel
+//                         nodes, only the union of their root paths is
+//                         re-processed (children before parents, parallel
 //                         within a level across independent dirty chains);
 //                         every untouched subtree keeps its tables verbatim.
 //                         At a dirty internal node the prefix chain is
@@ -31,14 +31,16 @@
 // what makes the incremental solver's solutions bit-identical to the batch
 // oracle (asserted by tests/test_incremental.cpp).
 //
-// Topology mutation: the engine runs over a TopologyView, so the same
-// tables serve an immutable CSR Tree and a mutable TreeOverlay. After a
-// batch of overlay mutations the owner calls ApplyTopology() with the lists
-// of parents whose child sets changed and of removed node ids; the engine
-// resizes its per-node state, refreshes demand mirrors, rebuilds the level
-// buckets over live nodes, and marks the changed parents so the next
-// incremental pass rebuilds their prefix chains from child 0 (a mid-list
-// child removal shifts prefix indices; an append reuses the chain as-is).
+// Mutation: the engine runs over a TopologyView, so the same tables serve an
+// immutable CSR Tree and a mutable TreeOverlay. A demand change in the view
+// needs no engine call: the owner seeds the next RecomputeDirty() with the
+// changed clients. After a batch of overlay topology mutations the owner
+// calls ApplyTopology() with the lists of parents whose child sets changed
+// and of removed node ids; the engine resizes its per-node state, rebuilds
+// the level buckets over live nodes, and marks the changed parents so the
+// next incremental pass rebuilds their prefix chains from child 0 (a
+// mid-list child removal shifts prefix indices; an append reuses the chain
+// as-is).
 // The key locality fact: F_j depends only on (subtree(j) demands, W) —
 // never on depth, parent, or edge lengths — so a migration invalidates
 // only the old and new parent chains while the migrated subtree's tables
@@ -46,11 +48,12 @@
 // nothing at all.
 //
 // Ownership/lifetime: the engine stores a TopologyView by value; the
-// backing Tree/TreeOverlay must outlive it and must not mutate except
-// through the ApplyTopology protocol (demand lives in the engine's own
-// overlay column, NOT in the view). Not thread-safe: one engine per thread
+// backing Tree/TreeOverlay must outlive it and must not mutate during a
+// pass. Demand lives in the view's request column, NOT in the engine: a
+// demand write is followed by a RecomputeDirty() seeded with the client, a
+// topology change by ApplyTopology(). Not thread-safe: one engine per thread
 // of control; the internal parallelism is fork-join and fully contained in
-// the passes.
+// the passes, whose workers only read the view.
 #pragma once
 
 #include <cstdint>
@@ -96,8 +99,8 @@ struct NodDpWork {
 ///   NodDpEngine engine(tree, capacity);
 ///   engine.ComputeAll();
 ///   if (engine.Feasible()) Solution s = engine.Backtrack();
-/// Incremental use replaces later ComputeAll() calls with SetDemand(...)
-/// followed by one RecomputeDirty(touched) per update batch.
+/// Incremental use changes demand in the backing overlay and replaces later
+/// ComputeAll() calls with one RecomputeDirty(touched) per update batch.
 class NodDpEngine {
  public:
   using Cost = std::uint32_t;
@@ -106,10 +109,11 @@ class NodDpEngine {
   /// Sentinel for "no feasible entry" in a cost table.
   static constexpr Cost kInfCost = std::numeric_limits<Cost>::max() / 2;
 
-  /// Demands start as the view's client request column. `capacity` is the
-  /// uniform server capacity W (> 0). The backing tree/overlay must outlive
-  /// the engine. (TopologyView converts implicitly from `const Tree&` and
-  /// `const TreeOverlay&`, so batch call sites pass the tree directly.)
+  /// Demands are the view's client request column, read on every pass.
+  /// `capacity` is the uniform server capacity W (> 0). The backing
+  /// tree/overlay must outlive the engine. (TopologyView converts implicitly
+  /// from `const Tree&` and `const TreeOverlay&`, so batch call sites pass
+  /// the tree directly.)
   NodDpEngine(TopologyView view, Requests capacity);
 
   NodDpEngine(const NodDpEngine&) = delete;
@@ -121,7 +125,7 @@ class NodDpEngine {
   void ComputeAll();
 
   /// Incremental forward pass: re-processes exactly the union of root paths
-  /// of `touched` — client leaves whose demand changed via SetDemand, or
+  /// of `touched` — client leaves whose demand changed in the view, or
   /// (after ApplyTopology) any live node whose subtree membership changed.
   /// Requires a completed ComputeAll(). Touched ids may repeat; the dirty
   /// set is deduplicated internally.
@@ -133,22 +137,16 @@ class NodDpEngine {
   /// other than by appending (detach/migrate-out parents) — their prefix
   /// chains are force-rebuilt on the next incremental pass; `removed` lists
   /// node ids tombstoned by the batch (their tables and fragments are
-  /// dropped). Demand and subtree-demand mirrors are refreshed wholesale
-  /// from the view. The caller must follow with RecomputeDirty() seeded by
-  /// the event roots (or ComputeAll()) before querying results.
+  /// dropped). The caller must follow with RecomputeDirty() seeded by the
+  /// event roots (or ComputeAll()) before querying results.
   void ApplyTopology(TopologyView view, std::span<const NodeId> children_changed,
                      std::span<const NodeId> removed);
-
-  /// Updates one client's demand and the subtree totals on its root path.
-  /// Tables are stale until the next RecomputeDirty()/ComputeAll() covering
-  /// the client. `client` must be a leaf.
-  void SetDemand(NodeId client, Requests demand);
 
   /// Changes the uniform capacity W (> 0). Every table becomes stale; the
   /// caller must run ComputeAll() before querying results again.
   void SetCapacity(Requests capacity);
 
-  [[nodiscard]] Requests TotalDemand() const noexcept { return subtree_demand_[0]; }
+  [[nodiscard]] Requests TotalDemand() const noexcept { return view_.TotalRequests(); }
 
   /// True iff the current state admits a feasible Multiple-NoD placement
   /// (F_root(0) finite). Requires up-to-date tables.
@@ -250,7 +248,6 @@ class NodDpEngine {
   struct Staircase {
     Cost vmin = 0;
     Cost vmax = 0;
-    std::size_t first_finite = 0;
     std::vector<std::uint32_t> inv;
     void BuildFrom(const CostTable& table);
   };
@@ -335,8 +332,6 @@ class NodDpEngine {
 
   TopologyView view_;
   Requests capacity_;
-  std::vector<Requests> demand_;          // per node; internal nodes hold 0
-  std::vector<Requests> subtree_demand_;  // maintained by SetDemand
   std::vector<CostTable> f_;
   std::vector<std::vector<CostTable>> prefixes_;
   std::vector<std::vector<NodeId>> all_levels_;    // every live node bucketed by depth

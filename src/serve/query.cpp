@@ -4,15 +4,6 @@
 
 namespace rpt::serve {
 
-const char* QueryKindName(QueryKind kind) noexcept {
-  switch (kind) {
-    case QueryKind::kWhichReplica: return "which-replica";
-    case QueryKind::kResidual: return "residual";
-    case QueryKind::kAttachCost: return "attach-cost";
-  }
-  return "unknown";
-}
-
 QueryResponse Answer(const PlacementSnapshot& snapshot, const QueryRequest& request) {
   RPT_REQUIRE(request.node < snapshot.Size(), "serve: query node id out of range");
   QueryResponse response;

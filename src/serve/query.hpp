@@ -39,9 +39,6 @@ enum class QueryKind : std::uint8_t {
   kAttachCost = 2,    ///< node = attach point, demand = new requests
 };
 
-/// Human-readable kind name ("which-replica" / "residual" / "attach-cost").
-[[nodiscard]] const char* QueryKindName(QueryKind kind) noexcept;
-
 struct QueryRequest {
   QueryKind kind = QueryKind::kWhichReplica;
   NodeId node = kInvalidNode;

@@ -61,8 +61,9 @@
 // batch); only if even that reopen fails does the harness refuse further
 // applies (loudly, via InternalError) rather than serve without a log.
 //
-// Ownership: the harness owns the solver and the store; the Instance must
-// outlive the harness (same rule as IncrementalSolver).
+// Ownership: the harness owns the solver and the store. It keeps no
+// reference to the Instance it was built from, and neither does the solver,
+// so the Instance may be destroyed once a constructor or RecoverFrom returns.
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,7 @@
 #include "single/single_nod.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 namespace rpt::single {
@@ -106,7 +107,6 @@ namespace {
 
 // Shared core: preconditions already checked by the public entry points.
 SingleNodResult SolveSingleNodImpl(TopologyView tree, Requests capacity,
-                                   std::span<const Requests> demands,
                                    const SingleNodOptions& options);
 
 }  // namespace
@@ -116,17 +116,13 @@ SingleNodResult SolveSingleNod(const Instance& instance, const SingleNodOptions&
               "single-nod: only valid without distance constraints (Single-NoD)");
   RPT_REQUIRE(instance.AllRequestsFitLocally(),
               "single-nod: some client has r_i > W; no Single solution exists");
-  // Zero-copy: the tree's own request column is the demand overlay.
-  const Tree& tree = instance.GetTree();
-  return SolveSingleNodImpl(tree, instance.Capacity(), tree.RequestsColumn(), options);
+  return SolveSingleNodImpl(instance.GetTree(), instance.Capacity(), options);
 }
 
 SingleNodResult SolveSingleNod(TopologyView view, Requests capacity,
-                               std::span<const Requests> demands,
                                const SingleNodOptions& options) {
   RPT_REQUIRE(capacity > 0, "single-nod: capacity must be positive");
-  RPT_REQUIRE(demands.size() == view.Size(),
-              "single-nod: need one demand entry per node (internal entries 0)");
+  const std::span<const Requests> demands = view.RequestsColumn();
   for (NodeId id = 0; id < view.Size(); ++id) {
     if (!view.IsLive(id)) {
       RPT_REQUIRE(demands[id] == 0, "single-nod: dead nodes issue no requests");
@@ -137,14 +133,14 @@ SingleNodResult SolveSingleNod(TopologyView view, Requests capacity,
       RPT_REQUIRE(demands[id] == 0, "single-nod: internal nodes issue no requests");
     }
   }
-  return SolveSingleNodImpl(view, capacity, demands, options);
+  return SolveSingleNodImpl(view, capacity, options);
 }
 
 namespace {
 
 SingleNodResult SolveSingleNodImpl(TopologyView tree, Requests capacity,
-                                   std::span<const Requests> demands,
                                    const SingleNodOptions& options) {
+  const std::span<const Requests> demands = tree.RequestsColumn();
   SingleNodResult result;
   Solution& solution = result.solution;
 

@@ -16,8 +16,6 @@
 // all-zero-requests instance.
 #pragma once
 
-#include <span>
-
 #include "model/instance.hpp"
 #include "model/solution.hpp"
 #include "tree/topology_view.hpp"
@@ -54,16 +52,14 @@ struct SingleNodOptions {
 [[nodiscard]] SingleNodResult SolveSingleNod(const Instance& instance,
                                              const SingleNodOptions& options = {});
 
-/// Demand-overlay form over either backend (base Tree or mutated
-/// TreeOverlay): client i issues `demands[i]` requests (indexed by NodeId,
-/// size == view.Size(); internal and dead entries must be 0) instead of the
-/// view's own request column, and dead overlay ids are skipped entirely.
-/// Requires every demand <= capacity; throws InvalidArgument otherwise. Over
-/// a base Tree this is byte-identical to the Instance form on
-/// Tree::WithRequests(demands). It is the pass IncrementalSolver's single
-/// policy runs on every re-solve, with no instance materialized.
+/// View form over either backend (base Tree or mutated TreeOverlay): client
+/// i issues the view's own RequestsOf(i), and dead overlay ids are skipped
+/// entirely. Requires capacity > 0, every client demand <= capacity, and 0 on
+/// every internal and dead entry of the view's request column; throws
+/// InvalidArgument otherwise. Over a base Tree this is byte-identical to the
+/// Instance form. It is the pass IncrementalSolver's single policy runs on
+/// every re-solve, with no instance materialized.
 [[nodiscard]] SingleNodResult SolveSingleNod(TopologyView view, Requests capacity,
-                                             std::span<const Requests> demands,
                                              const SingleNodOptions& options = {});
 
 }  // namespace rpt::single

@@ -14,7 +14,6 @@ struct PointState {
   Action action = Action::kOff;
   std::uint64_t countdown = 0;  // fires when a Hit() decrements this to 0
   std::uint64_t param = 0;
-  std::uint64_t hits = 0;  // counted whenever the registry is consulted
   bool sticky = false;     // fire on every hit, never self-disarm
 };
 
@@ -112,7 +111,6 @@ Action Hit(std::string_view point, std::uint64_t* param_out) {
     auto it = reg.points.find(point);
     if (it == reg.points.end()) return Action::kOff;
     PointState& st = it->second;
-    ++st.hits;
     if (st.action == Action::kOff) return Action::kOff;
     if (st.sticky) {
       fired = st.action;  // sticky: fire on every hit, stay armed
@@ -143,13 +141,6 @@ Action Hit(std::string_view point, std::uint64_t* param_out) {
       break;
   }
   return Action::kOff;
-}
-
-std::uint64_t HitCount(std::string_view point) {
-  Registry& reg = TheRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  auto it = reg.points.find(point);
-  return it == reg.points.end() ? 0 : it->second.hits;
 }
 
 }  // namespace rpt::fail

@@ -100,10 +100,10 @@ void Arm(std::string_view point, Action action, std::uint64_t countdown = 1,
 /// kError/kDelay.
 void ArmSticky(std::string_view point, Action action, std::uint64_t param = 0);
 
-/// Disarms `point` (no-op when not armed). Hit counters survive.
+/// Disarms `point` (no-op when not armed).
 void Disarm(std::string_view point);
 
-/// Disarms every point and zeroes all hit counters (test teardown).
+/// Disarms every point and forgets every countdown (test teardown).
 void DisarmAll();
 
 /// True iff any point is currently armed (the Hit() fast-path predicate,
@@ -116,11 +116,6 @@ void DisarmAll();
 /// kError / kShortOp are returned to the caller (param written through
 /// `param_out` when non-null) for the site to act on.
 Action Hit(std::string_view point, std::uint64_t* param_out = nullptr);
-
-/// Hits observed on `point` since the last DisarmAll(). Counted only while
-/// the registry has ever seen the point armed (the unarmed fast path does
-/// not count) — arm first, then drive.
-[[nodiscard]] std::uint64_t HitCount(std::string_view point);
 
 /// RAII arming for tests: arms on construction, DisarmAll() on destruction
 /// so a failing EXPECT cannot leak an armed point into the next test.

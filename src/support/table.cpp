@@ -29,7 +29,6 @@ Table& Table::Add(std::string_view value) {
 }
 
 Table& Table::Add(std::uint64_t value) { return Add(std::to_string(value)); }
-Table& Table::Add(std::int64_t value) { return Add(std::to_string(value)); }
 
 Table& Table::Add(double value, int decimals) {
   char buf[64];

@@ -34,11 +34,8 @@ class Table {
   /// Appends an unsigned integer cell.
   Table& Add(std::uint64_t value);
 
-  /// Appends a signed integer cell.
-  Table& Add(std::int64_t value);
-
   /// Appends an int cell (disambiguates literals).
-  Table& Add(int value) { return Add(static_cast<std::int64_t>(value)); }
+  Table& Add(int value) { return Add(std::to_string(value)); }
 
   /// Appends a floating cell formatted with the given number of decimals.
   Table& Add(double value, int decimals = 3);

@@ -78,7 +78,6 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  std::vector<std::jthread> workers_;
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_task_;
@@ -86,6 +85,9 @@ class ThreadPool {
   std::size_t in_flight_ = 0;
   bool stopping_ = false;
   std::exception_ptr first_error_;
+  // Declared last, so it is destroyed first: the jthreads join before the
+  // mutex and condition variables a finishing worker still uses are gone.
+  std::vector<std::jthread> workers_;
 };
 
 namespace detail {

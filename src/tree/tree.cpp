@@ -151,26 +151,6 @@ void TreeBuilder::DeriveSerial(Tree& tree, std::size_t n, std::size_t client_cou
   }
 }
 
-Tree Tree::WithRequests(std::span<const Requests> requests) const {
-  RPT_REQUIRE(requests.size() == Size(),
-              "Tree::WithRequests: need one request entry per node (internal entries 0)");
-  Tree copy = *this;
-  for (NodeId id = 0; id < Size(); ++id) {
-    if (kind_[id] == NodeKind::kInternal) {
-      RPT_REQUIRE(requests[id] == 0, "Tree::WithRequests: internal nodes issue no requests");
-    }
-    copy.requests_[id] = requests[id];
-  }
-  // Subtree totals re-aggregate bottom-up over the (unchanged) post-order.
-  for (const NodeId node : copy.post_order_) {
-    Requests total = copy.requests_[node];
-    for (const NodeId child : copy.Children(node)) total += copy.subtree_requests_[child];
-    copy.subtree_requests_[node] = total;
-  }
-  copy.total_requests_ = copy.subtree_requests_[copy.Root()];
-  return copy;
-}
-
 SubtreeSlice Tree::SliceSubtree(NodeId root) const {
   Check(root);
   RPT_REQUIRE(!IsClient(root), "Tree::SliceSubtree: slice root must be an internal node");

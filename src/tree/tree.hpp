@@ -60,9 +60,8 @@ class Tree {
   /// Requests issued by a client; 0 for internal nodes.
   [[nodiscard]] Requests RequestsOf(NodeId id) const { return requests_[Check(id)]; }
 
-  /// The whole per-node request column (indexed by NodeId). The zero-copy
-  /// way to feed demand-overlay solver entry points with the tree's own
-  /// demands; the span is valid for the tree's lifetime.
+  /// The whole per-node request column (indexed by NodeId; internal entries
+  /// 0). The span is valid for the tree's lifetime.
   [[nodiscard]] std::span<const Requests> RequestsColumn() const noexcept { return requests_; }
 
   /// Parent id, or kInvalidNode for the root.
@@ -120,16 +119,6 @@ class Tree {
 
   /// Number of nodes in subtree(j), including j.
   [[nodiscard]] std::uint32_t SubtreeSize(NodeId id) const { return subtree_size_[Check(id)]; }
-
-  /// Structure-preserving demand swap: returns a copy of this tree where
-  /// client id gets requests[id] requests (indexed by NodeId, size == Size();
-  /// internal entries must be 0). Node ids, topology, and every
-  /// structure-derived column (children, depth, Euler intervals, post-order)
-  /// are copied verbatim; only the request-derived columns (per-node
-  /// requests, subtree totals) are recomputed — O(|T|), no re-derivation.
-  /// This is the cheap way to materialize an Instance for a demand overlay,
-  /// e.g. the incremental solver's from-scratch oracle.
-  [[nodiscard]] Tree WithRequests(std::span<const Requests> requests) const;
 
   /// Extracts subtree(`root`) as a standalone tree plus the local→global id
   /// map (see SubtreeSlice below). `root` must be an internal node so the

@@ -276,6 +276,7 @@ void TreeOverlay::DetachSubtree(NodeId root, std::vector<NodeId>* removed) {
     if (kind_[id] == NodeKind::kClient) {
       detached_requests += requests_[id];
       ++detached_clients;
+      requests_[id] = 0;  // a dead slot carries no demand
     }
     patched_children_.erase(id);  // dead lists are unreachable; free them
   }
@@ -448,7 +449,10 @@ TreeOverlay TreeOverlay::FromColumns(std::span<const NodeKind> kind,
   std::size_t live_clients = 0;
   Requests total = 0;
   for (NodeId id = 0; id < n; ++id) {
-    if (alive[id] == 0) continue;
+    if (alive[id] == 0) {
+      overlay.requests_[id] = 0;  // a dead slot carries no demand
+      continue;
+    }
     ++live;
     if (kind[id] == NodeKind::kClient) {
       ++live_clients;

@@ -19,7 +19,7 @@
 //                     repair); distances below the edge shift, nothing else;
 //  * SetRequests    — the demand write-through, so the overlay's request
 //                     column and subtree totals always describe the current
-//                     state (Compact() snapshots them).
+//                     state (Compact() snapshots them; dead slots read 0).
 //
 // The accessor surface deliberately mirrors Tree's (Size/Kind/Parent/
 // Children/Depth/SubtreeRequests/...), so solvers written against
@@ -101,11 +101,11 @@ class TreeOverlay {
 
   /// Reconstructs an overlay from flat columns (the deserialization path —
   /// see tree/serialize.hpp's rpt-overlay format). `alive[id]` marks live
-  /// slots; dead slots' other columns are ignored. `child_rank[id]` is the
-  /// node's position in its parent's child list (child order is
-  /// load-bearing: Compact() and the solvers' tie-breaks follow it, and
-  /// after migrations it is no longer ascending-id); per parent the live
-  /// ranks must form 0..k-1. Validates the full structural invariant set
+  /// slots; dead slots' other columns are ignored, and their request entries
+  /// are stored as 0. `child_rank[id]` is the node's position in its
+  /// parent's child list (child order is load-bearing: Compact() and the
+  /// solvers' tie-breaks follow it, and after migrations it is no longer
+  /// ascending-id); per parent the live ranks must form 0..k-1. Validates the full structural invariant set
   /// (single live root 0, live internal parents, no cycles, internal nodes
   /// keep a live child) and derives every computed column. Throws
   /// InvalidArgument on violation.
@@ -155,8 +155,9 @@ class TreeOverlay {
   NodeId AttachSubtree(NodeId parent, const SubtreeSpec& spec);
 
   /// Tombstones subtree(root). The parent must keep at least one other live
-  /// child; detached clients' demand leaves the totals. When `removed` is
-  /// non-null it receives the ids killed (ascending).
+  /// child; detached clients' demand leaves the totals, and their request
+  /// entries become 0. When `removed` is non-null it receives the ids killed
+  /// (ascending).
   void DetachSubtree(NodeId root, std::vector<NodeId>* removed = nullptr);
 
   /// Re-homes subtree(root) under `new_parent` with edge length `new_delta`;
@@ -234,7 +235,9 @@ class TreeOverlay {
   void RecomputeMaxDepth();
 
   // Flat per-node columns, all sized Size(); dead slots keep stale values
-  // that no accessor path can observe (live traversals never reach them).
+  // that no live traversal reaches, except requests_: a dead slot's entry is
+  // 0, so RequestsColumn() is a demand column as it stands (the solver's
+  // Demands(), PlacementSnapshot::Build's input).
   std::vector<NodeKind> kind_;
   std::vector<NodeId> parent_;
   std::vector<Distance> delta_;

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -161,7 +162,7 @@ TEST_P(IncrementalEquivalence, InfeasibleAndBackToFeasibleTransitions) {
 
   const std::vector<UpdateEvent> calm{UpdateEvent::DemandDelta(client, -90)};
   EXPECT_TRUE(solver.Apply(calm));
-  EXPECT_EQ(solver.DemandOf(client), 15u);
+  EXPECT_EQ(solver.Demands()[client], 15u);
   ExpectMatchesOracle(solver, "feasible again");
 }
 
@@ -353,8 +354,8 @@ TEST(IncrementalSolver, BadEventsThrowAndLeaveStateUntouched) {
   };
   expect_all_rejected(with_dark);
 
-  // The same batches once a topology batch has moved the solver onto its
-  // overlay, whose request column a demand-only batch writes at commit.
+  // The same batches once a topology batch has swapped in a cloned overlay,
+  // whose request column a demand-only batch writes at commit.
   ASSERT_TRUE(solver.Apply(std::vector<UpdateEvent>{UpdateEvent::AttachSubtree(
       instance.GetTree().Parent(client), SubtreeSpec::SingleClient(2, 5))}));
   ASSERT_TRUE(solver.HasTopologyChanges());
@@ -383,7 +384,7 @@ TEST(IncrementalSolver, NearLimitDemandsApplyWithoutWrapping) {
   ASSERT_FALSE(solver.Apply(std::vector<UpdateEvent>{
       UpdateEvent::DemandDelta(client, kMaxDelta), UpdateEvent::DemandDelta(client, kMaxDelta),
       UpdateEvent::DemandDelta(client, 1)}));  // exactly 2^64 - 1
-  EXPECT_EQ(solver.DemandOf(client), std::numeric_limits<Requests>::max());
+  EXPECT_EQ(solver.Demands()[client], std::numeric_limits<Requests>::max());
   EXPECT_EQ(solver.TotalDemand(), std::numeric_limits<Requests>::max());
 
   // One more unit on any client would wrap the per-client or total demand.
@@ -412,16 +413,16 @@ TEST(IncrementalSolver, NearLimitDemandsApplyWithoutWrapping) {
   ASSERT_FALSE(solver.Apply(std::vector<UpdateEvent>{UpdateEvent::DemandDelta(client, 1),
                                                      UpdateEvent::DemandDelta(other, -1),
                                                      UpdateEvent::DemandDelta(client, 1)}));
-  EXPECT_EQ(solver.DemandOf(client), std::numeric_limits<Requests>::max());
-  EXPECT_EQ(solver.DemandOf(other), 0u);
+  EXPECT_EQ(solver.Demands()[client], std::numeric_limits<Requests>::max());
+  EXPECT_EQ(solver.Demands()[other], 0u);
   EXPECT_EQ(solver.TotalDemand(), std::numeric_limits<Requests>::max());
   EXPECT_EQ(solver.ExportOverlay().TotalRequests(), solver.TotalDemand());
 }
 
 TEST(IncrementalSolver, PromotionSwapsNearLimitDemandsWithoutWrapping) {
-  // The base tree holds b=max. Demand-only batches swap it onto a with no
-  // overlay to write into; promoting the base tree for a topology batch (or
-  // an export) must then carry a=max, b=0 over without passing the limit.
+  // The instance holds b=max. A demand-only batch swaps it onto a, and its
+  // commit writes a=max, b=0 into the overlay without passing the limit; a
+  // topology batch then clones that overlay, and an export copies it.
   constexpr Requests kMax = std::numeric_limits<Requests>::max();
   const std::vector<Requests> requests{0, kMax};
   const Instance instance(gen::MakeStar(2, requests), /*capacity=*/10);
@@ -436,8 +437,8 @@ TEST(IncrementalSolver, PromotionSwapsNearLimitDemandsWithoutWrapping) {
   EXPECT_EQ(solver.ExportOverlay().RequestsOf(a), kMax);
   ASSERT_FALSE(solver.Apply(std::vector<UpdateEvent>{UpdateEvent::LinkCapacity(a, 2)}));
   EXPECT_TRUE(solver.HasTopologyChanges());
-  EXPECT_EQ(solver.DemandOf(a), kMax);
-  EXPECT_EQ(solver.DemandOf(b), 0u);
+  EXPECT_EQ(solver.Demands()[a], kMax);
+  EXPECT_EQ(solver.Demands()[b], 0u);
   EXPECT_EQ(solver.ExportOverlay().TotalRequests(), kMax);
 }
 
@@ -447,21 +448,51 @@ TEST(IncrementalSolver, AddRemoveLifecycle) {
   IncrementalSolver solver(instance);
   const Tree& tree = instance.GetTree();
   const NodeId dark = tree.Clients()[1];
-  ASSERT_EQ(solver.DemandOf(dark), 0u);
+  ASSERT_EQ(solver.Demands()[dark], 0u);
 
   EXPECT_TRUE(solver.Apply(std::vector<UpdateEvent>{UpdateEvent::ClientAdd(dark, 8)}));
-  EXPECT_EQ(solver.DemandOf(dark), 8u);
+  EXPECT_EQ(solver.Demands()[dark], 8u);
   EXPECT_EQ(solver.TotalDemand(), 18u);
   ExpectMatchesOracle(solver, "after add");
 
   EXPECT_TRUE(solver.Apply(std::vector<UpdateEvent>{UpdateEvent::ClientRemove(dark)}));
-  EXPECT_EQ(solver.DemandOf(dark), 0u);
+  EXPECT_EQ(solver.Demands()[dark], 0u);
   EXPECT_EQ(solver.TotalDemand(), 10u);
   ExpectMatchesOracle(solver, "after remove");
 
   // Removed clients may come back.
   EXPECT_TRUE(solver.Apply(std::vector<UpdateEvent>{UpdateEvent::ClientAdd(dark, 3)}));
   ExpectMatchesOracle(solver, "after re-add");
+}
+
+TEST(IncrementalSolver, OutlivesTheInstanceItWasBuiltFrom) {
+  // The solver copies what it needs at construction: with its instance
+  // destroyed it still applies a demand batch and a topology batch, and
+  // matches an oracle built from a live copy.
+  gen::BinaryTreeConfig cfg;
+  cfg.clients = 32;
+  cfg.min_requests = 1;
+  cfg.max_requests = 10;
+  const Instance live(gen::GenerateFullBinaryTree(cfg, 13), /*capacity=*/20);
+  auto owned = std::make_unique<Instance>(live);
+  IncrementalSolver solver(*owned);
+  owned.reset();
+  IncrementalSolver oracle(live, {Engine::kFullResolve, Policy::kMultiple});
+
+  const Tree& tree = live.GetTree();
+  const NodeId client = tree.Clients()[5];
+  const std::vector<std::vector<UpdateEvent>> batches{
+      {UpdateEvent::DemandDelta(client, 4), UpdateEvent::ClientRemove(tree.Clients()[9])},
+      {UpdateEvent::AttachSubtree(tree.Parent(client), SubtreeSpec::SingleClient(2, 6)),
+       UpdateEvent::DemandDelta(client, -2)},
+  };
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    SCOPED_TRACE("batch " + std::to_string(i));
+    ASSERT_EQ(solver.Apply(batches[i]), oracle.Apply(batches[i]));
+    EXPECT_EQ(CanonicalSolutionHash(solver.Current()), CanonicalSolutionHash(oracle.Current()));
+    EXPECT_EQ(OverlayToString(solver.ExportOverlay()), OverlayToString(oracle.ExportOverlay()));
+  }
+  ExpectMatchesOracle(solver, "after both batches");
 }
 
 TEST(IncrementalSolver, RejectsDistanceConstrainedInstances) {
@@ -498,7 +529,7 @@ TEST(IncrementalSolver, SinglePolicyOverlayMatchesMaterializedSolve) {
 
   // r_i > W flips Single infeasible (a state, not an error), and back.
   const NodeId client = instance.GetTree().Clients()[0];
-  const Requests current = solver.DemandOf(client);
+  const Requests current = solver.Demands()[client];
   EXPECT_FALSE(solver.Apply(std::vector<UpdateEvent>{
       UpdateEvent::DemandDelta(client, 13 - static_cast<std::int64_t>(current))}));
   EXPECT_TRUE(solver.Apply(std::vector<UpdateEvent>{UpdateEvent::DemandDelta(client, -13)}));
@@ -715,50 +746,6 @@ TEST(IncrementalSolver, TopologyBatchesAreAtomicAndRejectRootOrphans) {
                }),
                InvalidArgument);
   ExpectStateEquals(before, solver);
-}
-
-TEST(TreeWithRequests, SwapsDemandAndReaggregates) {
-  gen::RandomTreeConfig cfg;
-  cfg.internal_nodes = 20;
-  cfg.clients = 60;
-  const Tree tree = gen::GenerateRandomTree(cfg, 4);
-  std::vector<Requests> demands(tree.Size(), 0);
-  Requests total = 0;
-  for (const NodeId client : tree.Clients()) {
-    demands[client] = (client * 7) % 11;
-    total += demands[client];
-  }
-  const Tree swapped = tree.WithRequests(demands);
-
-  ASSERT_EQ(swapped.Size(), tree.Size());
-  EXPECT_EQ(swapped.TotalRequests(), total);
-  for (NodeId id = 0; id < tree.Size(); ++id) {
-    EXPECT_EQ(swapped.RequestsOf(id), demands[id]);
-    EXPECT_EQ(swapped.Parent(id), tree.Parent(id));
-    EXPECT_EQ(swapped.Depth(id), tree.Depth(id));
-    EXPECT_EQ(swapped.DistToParent(id), tree.DistToParent(id));
-  }
-  // Subtree totals match a rebuild from scratch through TreeBuilder.
-  TreeBuilder builder;
-  builder.Reserve(tree.Size());
-  for (NodeId id = 0; id < tree.Size(); ++id) {
-    if (id == tree.Root()) {
-      (void)builder.AddRoot();
-    } else if (tree.IsClient(id)) {
-      (void)builder.AddClient(tree.Parent(id), tree.DistToParent(id), demands[id]);
-    } else {
-      (void)builder.AddInternal(tree.Parent(id), tree.DistToParent(id));
-    }
-  }
-  const Tree rebuilt = builder.Build();
-  for (NodeId id = 0; id < tree.Size(); ++id) {
-    EXPECT_EQ(swapped.SubtreeRequests(id), rebuilt.SubtreeRequests(id));
-  }
-
-  EXPECT_THROW((void)tree.WithRequests(std::vector<Requests>(3)), InvalidArgument);
-  std::vector<Requests> bad(tree.Size(), 0);
-  bad[tree.Root()] = 1;  // internal nodes issue no requests
-  EXPECT_THROW((void)tree.WithRequests(bad), InvalidArgument);
 }
 
 }  // namespace

@@ -130,6 +130,8 @@ TEST(TreeOverlay, DetachSubtreeTombstones) {
   EXPECT_FALSE(overlay.IsLive(4));
   EXPECT_EQ(overlay.LiveCount(), 3u);
   EXPECT_EQ(overlay.ClientCount(), 1u);
+  // A dead slot carries no demand: the request column stays a demand column.
+  for (const NodeId id : removed) EXPECT_EQ(overlay.RequestsColumn()[id], 0u) << id;
   EXPECT_EQ(overlay.TotalRequests(), 30u);
   EXPECT_EQ(overlay.SubtreeRequests(0), 30u);
   EXPECT_EQ(overlay.SubtreeSize(0), 3u);
@@ -234,16 +236,22 @@ TEST(TreeOverlay, SetRequestsMaintainsChainTotals) {
 
 TEST(TreeOverlay, CompactOnCleanOverlayIsIdentity) {
   const Tree base = MakeFixture();
-  const TreeOverlay overlay(base);
+  TreeOverlay overlay(base);
+  // Demand writes are not topology: the remap stays the identity and the
+  // compacted tree carries the new demand and its re-aggregated totals.
+  overlay.SetRequests(3, 25);
+  overlay.SetRequests(5, 0);
+  ASSERT_EQ(overlay.TopologyVersion(), 0u);
   const auto [tree, remap] = overlay.Compact();
   ASSERT_EQ(tree.Size(), base.Size());
+  EXPECT_EQ(tree.TotalRequests(), 45u);
   for (NodeId i = 0; i < base.Size(); ++i) {
     EXPECT_EQ(remap[i], i);
     EXPECT_EQ(tree.Kind(i), base.Kind(i));
     EXPECT_EQ(tree.Parent(i), base.Parent(i));
     EXPECT_EQ(tree.DistToParent(i), base.DistToParent(i));
-    EXPECT_EQ(tree.RequestsOf(i), base.RequestsOf(i));
-    EXPECT_EQ(tree.SubtreeRequests(i), base.SubtreeRequests(i));
+    EXPECT_EQ(tree.RequestsOf(i), overlay.RequestsOf(i));
+    EXPECT_EQ(tree.SubtreeRequests(i), overlay.SubtreeRequests(i));
   }
 }
 
@@ -304,6 +312,9 @@ TEST(TreeOverlay, FromColumnsRoundTripsMutatedOverlay) {
       rank[children[i]] = static_cast<std::uint32_t>(i);
     }
   }
+  // A stale request on a dead client slot is stored as 0.
+  ASSERT_FALSE(overlay.IsLive(3));
+  requests[3] = 99;
   const TreeOverlay restored =
       TreeOverlay::FromColumns(kind, parent, delta, requests, alive, rank);
   ASSERT_EQ(restored.Size(), overlay.Size());
@@ -311,7 +322,10 @@ TEST(TreeOverlay, FromColumnsRoundTripsMutatedOverlay) {
   EXPECT_EQ(restored.TotalRequests(), overlay.TotalRequests());
   for (NodeId id = 0; id < n; ++id) {
     ASSERT_EQ(restored.IsLive(id), overlay.IsLive(id));
-    if (!overlay.IsLive(id)) continue;
+    if (!overlay.IsLive(id)) {
+      EXPECT_EQ(restored.RequestsOf(id), 0u) << id;
+      continue;
+    }
     EXPECT_EQ(restored.Depth(id), overlay.Depth(id));
     EXPECT_EQ(restored.DistFromRoot(id), overlay.DistFromRoot(id));
     EXPECT_EQ(restored.SubtreeRequests(id), overlay.SubtreeRequests(id));
