@@ -28,7 +28,7 @@
 //   single-push        push-toward-root improvement loop
 //   multiple-bin       Algorithm 3 on a full binary tree
 //   multiple-nod-dp    exact Multiple-NoD tree knapsack DP (the dp_table_mib
-//                      metric is the analytic table footprint of the DP)
+//                      metric is the table footprint the DP holds)
 //   flow-oracle        Dinic feasibility routing with a replica at every
 //                      internal node
 #include <fstream>
@@ -40,6 +40,7 @@
 #include "core/solver.hpp"
 #include "flow/assignment.hpp"
 #include "gen/random_tree.hpp"
+#include "multiple/multiple_nod_dp.hpp"
 #include "runner/batch_runner.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
@@ -112,26 +113,12 @@ core::RunResult SolveFlowOracle(const Instance& instance) {
   return result;
 }
 
-// Analytic peak table footprint of the Multiple-NoD DP, in MiB: the final
-// F table of every node (subtree total + 1 entries) plus, per internal
-// node, the stored prefix tables G_0..G_k used for backtracking. Entries
-// are 4-byte costs. Identical before and after the scratch-buffer rework —
-// the *stored* tables are demand-bounded either way — so it tracks the
-// memory the DP cannot avoid holding.
+// Table footprint of the Multiple-NoD DP, in MiB: the entries the DP holds
+// across every F and prefix table (8-byte request counts), read from a
+// second solve of the instance after the timed one.
 double DpTableMiB(const Instance& instance, const core::RunResult&) {
-  const Tree& tree = instance.GetTree();
-  std::uint64_t entries = 0;
-  for (NodeId id = 0; id < tree.Size(); ++id) {
-    entries += static_cast<std::uint64_t>(tree.SubtreeRequests(id)) + 1;  // F table
-    if (tree.IsClient(id)) continue;
-    std::uint64_t below = 0;
-    entries += 1;  // G_0 = {0}
-    for (const NodeId child : tree.Children(id)) {
-      below += tree.SubtreeRequests(child);
-      entries += below + 1;  // G_k
-    }
-  }
-  return static_cast<double>(entries) * 4.0 / (1024.0 * 1024.0);
+  const auto result = multiple::SolveMultipleNodDp(instance);
+  return static_cast<double>(result.stats.table_entries * sizeof(Requests)) / (1024.0 * 1024.0);
 }
 
 std::string GroupName(const std::string& kernel, std::uint32_t clients) {
@@ -238,9 +225,7 @@ int main(int argc, char** argv) {
   if (big_clients != 0) {
     // Million-node tier: the tree build plus two full solvers proving
     // million-node instances run end-to-end. The DP stays at
-    // --dp-clients — its stored tables are demand-bounded but still grow
-    // with total requests times depth, far past a sensible bench footprint
-    // at a million clients.
+    // --dp-clients, the one size its group is recorded at.
     kernels.push_back({"tree-build", big_clients,
                        [big_build_reps](const Instance& instance) {
                          return SolveTreeBuild(instance, big_build_reps);

@@ -3,12 +3,13 @@
 //
 // The paper cites [3] (Benoit, Rehn-Sonigo, Robert, TPDS 2008) for a
 // polynomial-time optimal Multiple-NoD algorithm. We substitute an
-// equivalent-result pseudo-polynomial DP (documented in DESIGN.md): for each
+// equivalent-result tree knapsack DP (see docs/ARCHITECTURE.md): for each
 // node j and each forwarded amount u, F_j(u) = minimum number of replicas in
-// subtree(j) such that at most u requests are forwarded above j. Since
-// requests are integers and the DP domain is bounded by the subtree request
-// totals, the classic tree-knapsack bound makes the whole run O(|T| + U^2)
-// with U the total number of requests. The optimum is F_root(0).
+// subtree(j) such that at most u requests are forwarded above j. The
+// optimum is F_root(0). With a uniform W every F_j is convex, so it is
+// stored by cost rather than by u: a table has at most (nodes below it + 1)
+// entries, whatever the demand, and merging two tables is linear in their
+// lengths, so the whole run is linear in the summed table lengths.
 //
 // Unlike multiple-bin, this solver allows r_i > W (a client may split its
 // own requests between itself and ancestors), works for any arity, and is
@@ -17,12 +18,12 @@
 // solver cannot reach.
 // The forward pass is level-synchronous: all subtree merges at one tree
 // depth are independent, so they run as parallel chunks on the process-wide
-// solver pool (SolverPool()), each chunk leasing pooled scratch vectors.
-// Outputs are byte-identical to the serial pass at any thread count.
-// The DP core itself (tables, staircase convolution, level sweep, and
-// detail::MergeMinShift) lives in multiple/nod_dp_engine.hpp — this header
-// keeps the batch-solve entry point; the incremental re-solver
-// (src/incremental/) drives the same engine across update batches.
+// solver pool (SolverPool()). Outputs are byte-identical to the serial pass
+// at any thread count.
+// The DP core itself (tables, step merge, level sweep) lives in
+// multiple/nod_dp_engine.hpp — this header keeps the batch-solve entry
+// point; the incremental re-solver (src/incremental/) drives the same engine
+// across update batches.
 #pragma once
 
 #include <cstddef>
@@ -36,12 +37,13 @@ namespace rpt::multiple {
 
 /// Counters describing the work and footprint of one DP run.
 struct MultipleNodDpStats {
-  /// Total entries (4 bytes each) held across all stored F and prefix
-  /// tables; every table is bounded by its subtree request total + 1, so
-  /// this is also the peak footprint (tables live until backtracking ends).
+  /// Total cost-domain entries (8 bytes each) held across all stored F
+  /// and prefix tables; every table is bounded by the nodes below it + 1,
+  /// so this is also the peak footprint (tables live until backtracking
+  /// ends).
   std::uint64_t table_entries = 0;
-  /// Inner-loop iterations of all staircase convolutions (cost-domain
-  /// cells), the dominant arithmetic of the forward pass.
+  /// Entries written by the child merges, the dominant arithmetic of the
+  /// forward pass.
   std::uint64_t convolve_cells = 0;
 };
 
@@ -58,7 +60,8 @@ struct MultipleNodDpResult {
 
 /// Runs the DP and reconstructs an optimal placement plus routing.
 /// Requires no distance constraint; throws InvalidArgument otherwise.
-/// Runtime grows with (total requests)^2 — intended for totals up to ~10^4.
+/// Runtime and memory grow with the summed table lengths, never with the
+/// demand: at most (nodes below + 1) entries per table.
 [[nodiscard]] MultipleNodDpResult SolveMultipleNodDp(const Instance& instance);
 
 }  // namespace rpt::multiple

@@ -8,49 +8,23 @@
 
 namespace rpt::multiple {
 
-namespace detail {
-
-void MergeMinShift(std::uint32_t* __restrict__ out, const std::uint32_t* __restrict__ rhs,
-                   std::uint32_t shift, std::size_t n) noexcept {
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint32_t candidate = rhs[j] + shift;
-    out[j] = out[j] < candidate ? out[j] : candidate;
-  }
-}
-
-}  // namespace detail
-
 namespace {
 
 using Cost = NodDpEngine::Cost;
 constexpr Cost kInf = NodDpEngine::kInfCost;
 
-void MakeMonotone(NodDpEngine::CostTable& table) {
-  for (std::size_t u = 1; u < table.size(); ++u) table[u] = std::min(table[u], table[u - 1]);
+// Strictly decreasing with steps inv[i-1] - inv[i] that never grow: the
+// shape of every table a subtree produces under a uniform W, and the one
+// shape on which the step merge and the node step are exact.
+bool IsConvex(const std::vector<Requests>& inv) {
+  for (std::size_t i = 1; i < inv.size(); ++i) {
+    if (inv[i] >= inv[i - 1]) return false;
+    if (i >= 2 && inv[i - 1] - inv[i] > inv[i - 2] - inv[i - 1]) return false;
+  }
+  return true;
 }
 
 }  // namespace
-
-// Inverse staircase of a monotone non-increasing table: inv[c - vmin] is the
-// smallest u with table[u] <= c, for every integer cost c in [vmin, vmax]
-// (vmax = largest finite value, i.e. the first entry below kInf; vmin =
-// table.back()). Leading kInf runs are skipped entirely. The inv vector
-// belongs to the leased per-chunk scratch and is refilled on every merge.
-void NodDpEngine::Staircase::BuildFrom(const CostTable& table) {
-  std::size_t f = 0;
-  while (f < table.size() && table[f] >= kInf) ++f;
-  RPT_CHECK(f < table.size());  // every DP table has a finite entry
-  vmax = table[f];
-  vmin = table.back();
-  inv.assign(static_cast<std::size_t>(vmax - vmin) + 1, static_cast<std::uint32_t>(f));
-  Cost cur = vmax;
-  for (std::size_t u = f + 1; u < table.size(); ++u) {
-    while (cur > table[u]) {
-      --cur;
-      inv[cur - vmin] = static_cast<std::uint32_t>(u);
-    }
-  }
-}
 
 NodDpEngine::NodDpEngine(TopologyView view, Requests capacity)
     : view_(view),
@@ -90,7 +64,7 @@ void NodDpEngine::ApplyTopology(TopologyView view, std::span<const NodeId> child
     // Free the dead subtree's tables and reclaim its fragment budget; its
     // slots stay allocated (ids are never reused) but no live traversal
     // reaches them.
-    f_[dead] = CostTable{};
+    f_[dead] = Table{};
     prefixes_[dead] = {};
     frag_entries_total_ -= frag_[dead].EntryCount();
     frag_[dead] = FragmentCache{};
@@ -115,49 +89,35 @@ void NodDpEngine::SetCapacity(Requests capacity) {
   computed_ = false;  // every transition depends on W: full recompute needed
 }
 
-// Monotone min-plus convolution, out[k] = min_{i+j<=k} a[i] + b[j], written
-// into `out` (sized |a|+|b|-1; kInf where no finite split exists). Because
-// both inputs are monotone staircases, the convolution runs in the *cost*
-// domain: O(range(a) * range(b) + |out|) instead of O(|a| * |b|). Cost
-// ranges are replica counts (<= subtree client counts), which on
-// request-heavy instances are orders of magnitude below the request-domain
-// table sizes. Equivalent to the naive convolution followed by MakeMonotone,
-// entry for entry.
-void NodDpEngine::Convolve(const CostTable& a, const CostTable& b, CostTable& out,
-                           ConvolveScratch& scratch, std::uint64_t& cells) {
-  scratch.lhs.BuildFrom(a);
-  scratch.rhs.BuildFrom(b);
-  const Staircase& lhs = scratch.lhs;
-  const Staircase& rhs = scratch.rhs;
-  const Cost cmin = lhs.vmin + rhs.vmin;
-  const Cost cmax = lhs.vmax + rhs.vmax;
+NodDpEngine::Cost NodDpEngine::CostAt(const Table& table, std::size_t u) {
+  const Requests clamped = std::min<Requests>(u, table.total);
+  const auto first = std::partition_point(table.inv.begin(), table.inv.end(),
+                                          [clamped](Requests v) { return v > clamped; });
+  if (first == table.inv.end()) return kInf;
+  return table.vmin + static_cast<Cost>(first - table.inv.begin());
+}
 
-  // Out(c) = min forwarded budget achieving total cost <= c: minimize
-  // A(c1) + B(c2) over all splits c1 + c2 <= c, then close under "spend
-  // less, forward more" monotonicity. With j = c2 - rhs.vmin the output
-  // slot for (c1, c2) is (c1 - lhs.vmin) + j, so each c1 contributes one
-  // contiguous shifted-min sweep — the vectorized MergeMinShift.
-  std::vector<std::uint32_t>& out_inv = scratch.out_inv;
-  out_inv.assign(static_cast<std::size_t>(cmax - cmin) + 1,
-                 std::numeric_limits<std::uint32_t>::max());
-  const std::size_t rhs_len = rhs.inv.size();
-  for (Cost c1 = lhs.vmin; c1 <= lhs.vmax; ++c1) {
-    const std::uint32_t ua = lhs.inv[c1 - lhs.vmin];
-    detail::MergeMinShift(out_inv.data() + (c1 - lhs.vmin), rhs.inv.data(), ua, rhs_len);
-  }
-  for (std::size_t c = 1; c < out_inv.size(); ++c) {
-    out_inv[c] = std::min(out_inv[c], out_inv[c - 1]);
-  }
-  cells += static_cast<std::uint64_t>(lhs.inv.size()) * rhs_len;
-
-  // Materialize the output staircase; indices below the first feasible
-  // budget (the leading kInf run) are never written.
-  out.assign(a.size() + b.size() - 1, kInf);
-  std::size_t hi = out.size();
-  for (Cost c = cmin; c <= cmax && hi > 0; ++c) {
-    const std::size_t u = out_inv[c - cmin];
-    for (std::size_t k = u; k < hi; ++k) out[k] = c;
-    hi = std::min(hi, u);
+// The min-plus convolution out(c) = min over c1 + c2 = c of a(c1) + b(c2).
+// Both inputs are convex, so it is the merge of their step lists, steepest
+// first — exact, and O(|a| + |b|). The output spans |a| + |b| - 1 costs and
+// stays convex.
+void NodDpEngine::MergeSteps(const Table& a, const Table& b, Table& out) {
+  out.vmin = a.vmin + b.vmin;
+  out.total = a.total + b.total;
+  out.inv.resize(a.inv.size() + b.inv.size() - 1);
+  out.inv[0] = a.inv[0] + b.inv[0];
+  std::size_t i = 1;
+  std::size_t j = 1;
+  for (std::size_t k = 1; k < out.inv.size(); ++k) {
+    const Requests step_a = i < a.inv.size() ? a.inv[i - 1] - a.inv[i] : 0;
+    const Requests step_b = j < b.inv.size() ? b.inv[j - 1] - b.inv[j] : 0;
+    if (step_a >= step_b) {
+      out.inv[k] = out.inv[k - 1] - step_a;
+      ++i;
+    } else {
+      out.inv[k] = out.inv[k - 1] - step_b;
+      ++j;
+    }
   }
 }
 
@@ -165,75 +125,77 @@ void NodDpEngine::Convolve(const CostTable& a, const CostTable& b, CostTable& ou
 // from child index `first_child` on) — all children must already be up to
 // date, which the level sweep guarantees. The recomputed tables depend only
 // on (children tables, demand, capacity), never on which pass runs the
-// node, so an incremental recompute writes exactly the bytes a full pass
+// node, so an incremental recompute writes exactly the tables a full pass
 // would.
-void NodDpEngine::ProcessNode(NodeId node, std::size_t first_child, ConvolveScratch& scratch,
-                              ChunkCounters& counters) {
+void NodDpEngine::ProcessNode(NodeId node, std::size_t first_child, ChunkCounters& counters) {
+  Table& table = f_[node];
   if (view_.IsClient(node)) {
     if (!imported_.empty()) {
       // Sharded solve: a boundary leaf's table IS the cut subtree root's F
       // table, shipped from the worker — install it verbatim.
       const auto it = imported_.find(node);
       if (it != imported_.end()) {
-        f_[node] = it->second;
-        RPT_CHECK(f_[node].size() == static_cast<std::size_t>(view_.SubtreeRequests(node)) + 1);
-        counters.entries += f_[node].size();
+        table = it->second;
+        RPT_CHECK(table.total == view_.SubtreeRequests(node));
+        counters.entries += table.inv.size();
         return;
       }
     }
+    // No replica forwards all r at cost 0; a replica serves min(r, W)
+    // locally at cost 1. A leaf without demand forwards nothing.
     const Requests r = view_.RequestsOf(node);
-    CostTable& table = f_[node];
-    table.assign(static_cast<std::size_t>(r) + 1, kInf);
-    table[static_cast<std::size_t>(r)] = 0;  // no replica: forward everything
-    const Requests min_forward = r > capacity_ ? r - capacity_ : 0;
-    for (std::size_t u = static_cast<std::size_t>(min_forward); u <= r; ++u) {
-      table[u] = std::min<Cost>(table[u], 1);  // replica: serve min(r, W) locally
-    }
-    MakeMonotone(table);
-    RPT_CHECK(table.size() == static_cast<std::size_t>(view_.SubtreeRequests(node)) + 1);
-    counters.entries += table.size();
+    table.vmin = 0;
+    table.total = r;
+    table.inv.assign(1, r);
+    if (r > 0) table.inv.push_back(r > capacity_ ? r - capacity_ : 0);
+    counters.entries += table.inv.size();
     return;
   }
-  // Children convolution with stored prefixes: prefix[i] is the product of
-  // children [0, i). Every stored table stays bounded by its (sub)domain's
-  // request total + 1 — the convolution never widens a table beyond the
-  // demand it can actually forward.
+  // Children merges with stored prefixes: prefix[i] is the product of
+  // children [0, i).
   const auto kids = view_.Children(node);
   auto& prefix = prefixes_[node];
   prefix.resize(kids.size() + 1);
   if (first_child == 0) {
-    prefix[0].assign(1, 0);  // empty product: forward 0 at cost 0
+    prefix[0].vmin = 0;  // empty product: forward 0 at cost 0
+    prefix[0].total = 0;
+    prefix[0].inv.assign(1, 0);
     counters.entries += 1;
   }
   for (std::size_t c = first_child; c < kids.size(); ++c) {
-    Convolve(prefix[c], f_[kids[c]], prefix[c + 1], scratch, counters.cells);
-    counters.entries += prefix[c + 1].size();
+    MergeSteps(prefix[c], f_[kids[c]], prefix[c + 1]);
+    counters.entries += prefix[c + 1].inv.size();
+    counters.cells += prefix[c + 1].inv.size();
   }
-  const CostTable& g = prefix.back();
-  const std::size_t total = g.size() - 1;  // subtree request total below node
-  RPT_CHECK(total == static_cast<std::size_t>(view_.SubtreeRequests(node)));
-  CostTable& table = f_[node];
-  table.assign(total + 1, kInf);
-  for (std::size_t u = 0; u <= total; ++u) {
-    table[u] = g[u];  // no replica
-    const std::size_t relaxed = std::min<std::size_t>(
-        total, u + static_cast<std::size_t>(std::min<Requests>(capacity_, total)));
-    if (g[relaxed] < kInf) {
-      table[u] = std::min<Cost>(table[u], 1 + g[relaxed]);  // replica absorbs up to W
-    }
+  // The node step F(u) = min(G(u), 1 + G(min(total, u + w))), w = min(W,
+  // total), in inverse form: cost c is spent either below (inv_G[c]) or as
+  // c - 1 below plus a replica here that absorbs w of what G forwards.
+  const Table& g = prefix.back();
+  RPT_CHECK(g.total == view_.SubtreeRequests(node));
+  const Requests w = std::min(capacity_, g.total);
+  const std::size_t len = g.inv.size();
+  table.vmin = g.vmin;
+  table.total = g.total;
+  table.inv.resize(len + 1);
+  table.inv[0] = g.inv[0];
+  for (std::size_t i = 1; i <= len; ++i) {
+    const Requests relaxed = g.inv[i - 1] > w ? g.inv[i - 1] - w : 0;
+    table.inv[i] = std::min(g.inv[std::min(i, len - 1)], relaxed);
   }
-  MakeMonotone(table);
-  counters.entries += table.size();
+  while (table.inv.size() > 1 && table.inv.back() == table.inv[table.inv.size() - 2]) {
+    table.inv.pop_back();
+  }
+  RPT_CHECK(IsConvex(table.inv));
+  counters.entries += table.inv.size();
 }
 
 // Level-synchronous sweep, deepest level first. Within a level every node's
 // merge is independent (its children live one level deeper and are already
 // done), so the level runs as parallel chunks on the process-wide solver
-// pool; per-chunk scratch leases and exact-integer work counters keep the
-// outputs bit-identical to a serial sweep. In the incremental form the
-// levels hold only dirty nodes — independent dirty chains proceed in
-// parallel — and each internal node's prefix chain restarts at its first
-// dirty child.
+// pool; exact-integer work counters keep the outputs bit-identical to a
+// serial sweep. In the incremental form the levels hold only dirty nodes —
+// independent dirty chains proceed in parallel — and each internal node's
+// prefix chain restarts at its first dirty child.
 void NodDpEngine::SweepLevels(const std::vector<std::vector<NodeId>>& levels, bool incremental) {
   std::atomic<std::uint64_t> entries{0};
   std::atomic<std::uint64_t> cells{0};
@@ -245,7 +207,6 @@ void NodDpEngine::SweepLevels(const std::vector<std::vector<NodeId>>& levels, bo
     nodes += level.size();
     ParallelForChunked(pool, level.size(), /*grain=*/1,
                        [&](std::size_t begin, std::size_t end) {
-                         const auto lease = scratch_pool_.Acquire();
                          ChunkCounters counters;
                          for (std::size_t slot = begin; slot < end; ++slot) {
                            const NodeId node = level[slot];
@@ -274,7 +235,7 @@ void NodDpEngine::SweepLevels(const std::vector<std::vector<NodeId>>& levels, bo
                              // full rebuild.
                              if (first_child == kids.size()) first_child = 0;
                            }
-                           ProcessNode(node, first_child, *lease, counters);
+                           ProcessNode(node, first_child, counters);
                          }
                          entries.fetch_add(counters.entries, std::memory_order_relaxed);
                          cells.fetch_add(counters.cells, std::memory_order_relaxed);
@@ -325,8 +286,7 @@ void NodDpEngine::RecomputeDirty(std::span<const NodeId> touched) {
 
 bool NodDpEngine::Feasible() const {
   RPT_REQUIRE(computed_, "NodDpEngine: Feasible requires up-to-date tables");
-  const CostTable& root = f_[view_.Root()];
-  return !root.empty() && root[0] < kInf;
+  return CostAt(f_[view_.Root()], 0) < kInf;
 }
 
 namespace {
@@ -352,9 +312,9 @@ NodDpEngine::PendChain NodDpEngine::ChainOf(
 
 NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
                                                   Solution& solution) {
-  const CostTable& table = f_[node];
-  RPT_CHECK(u < table.size() || !table.empty());
-  u = std::min(u, table.size() - 1);
+  const Table& table = f_[node];
+  RPT_CHECK(!table.inv.empty());
+  u = std::min<std::size_t>(u, table.total);
 
   const auto empty_chain = [] { return PendChain{kPendNil, kPendNil, 0}; };
   const auto single_chain = [this](NodeId client, Requests amount) {
@@ -372,7 +332,7 @@ NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
   if (!imported_.empty() && imported_.contains(node)) {
     RPT_REQUIRE(imported_provider_ != nullptr,
                 "NodDpEngine: backtracking imported tables requires a fragment provider");
-    RPT_CHECK(table[u] < kInf);
+    RPT_CHECK(CostAt(table, u) < kInf);
     return ChainOf(imported_provider_(node, u));
   }
 
@@ -418,7 +378,7 @@ NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
     frag_entries_total_ += frag.EntryCount();
   };
 
-  const Cost cost = table[u];
+  const Cost cost = CostAt(table, u);
   RPT_CHECK(cost < kInf);
 
   if (view_.IsClient(node)) {
@@ -496,41 +456,39 @@ NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
 }
 
 bool NodDpEngine::SplitBudget(NodeId node, std::size_t u, std::size_t* child_budget) const {
-  const CostTable& table = f_[node];
-  const Cost cost = table[u];
+  const Cost cost = CostAt(f_[node], u);
   RPT_CHECK(cost < kInf);
   const auto& prefix = prefixes_[node];
-  const CostTable& g = prefix.back();
-  const std::size_t total = g.size() - 1;
-  const bool use_replica = g[u] != cost;  // prefer the replica-free branch
+  const Table& g = prefix.back();
+  const bool use_replica = CostAt(g, u) != cost;  // prefer the replica-free branch
   std::size_t budget = u;
-  Cost remaining_cost = cost;
+  Cost target = cost;
   if (use_replica) {
-    budget = std::min<std::size_t>(
-        total, u + static_cast<std::size_t>(std::min<Requests>(capacity_, total)));
-    RPT_CHECK(cost >= 1 && g[budget] == cost - 1);
-    remaining_cost = cost - 1;
+    budget = std::min<std::size_t>(g.total, u + std::min(capacity_, g.total));
+    RPT_CHECK(cost >= 1 && CostAt(g, budget) == cost - 1);
+    target = cost - 1;
   } else {
-    RPT_CHECK(g[budget] == cost);
+    RPT_CHECK(CostAt(g, budget) == cost);
   }
 
   // Split `budget` among children by walking the prefix tables backwards.
+  // The smallest child budget meeting the target keeps ancestors safest. It
+  // starts a run of equal child cost, so it is one of the child's inv
+  // entries: try them from the last (the smallest budget) up.
   const auto kids = view_.Children(node);
   std::size_t v = budget;
-  Cost target = remaining_cost;
   for (std::size_t k = kids.size(); k-- > 0;) {
-    const CostTable& before = prefix[k];
-    const CostTable& child_table = f_[kids[k]];
+    const Table& before = prefix[k];
+    const Table& child = f_[kids[k]];
     bool found = false;
-    // Smallest child budget achieving the target keeps ancestors safest.
-    for (std::size_t b = 0; b < child_table.size() && b <= v; ++b) {
-      if (child_table[b] >= kInf) continue;
-      const std::size_t rest = v - b;
-      const std::size_t rest_clamped = std::min(rest, before.size() - 1);
-      if (before[rest_clamped] < kInf && before[rest_clamped] + child_table[b] == target) {
-        child_budget[k] = b;
-        target -= child_table[b];
-        v = rest_clamped;
+    for (std::size_t i = child.inv.size(); i-- > 0 && child.inv[i] <= v;) {
+      const Cost child_cost = child.vmin + static_cast<Cost>(i);
+      const std::size_t rest = std::min<std::size_t>(v - child.inv[i], before.total);
+      const Cost rest_cost = CostAt(before, rest);
+      if (rest_cost < kInf && rest_cost + child_cost == target) {
+        child_budget[k] = child.inv[i];
+        target -= child_cost;
+        v = rest;
         found = true;
         break;
       }
@@ -540,7 +498,20 @@ bool NodDpEngine::SplitBudget(NodeId node, std::size_t u, std::size_t* child_bud
   return use_replica;
 }
 
-void NodDpEngine::ImportLeafTable(NodeId leaf, CostTable table) {
+NodDpEngine::CostTable NodDpEngine::TableOf(NodeId node) const {
+  RPT_REQUIRE(computed_, "NodDpEngine: TableOf requires up-to-date tables");
+  const Table& table = f_[CheckNode(node)];
+  CostTable out(static_cast<std::size_t>(table.total) + 1, kInf);
+  auto hi = out.end();
+  for (std::size_t i = 0; i < table.inv.size(); ++i) {
+    const auto lo = out.begin() + static_cast<std::ptrdiff_t>(table.inv[i]);
+    std::fill(lo, hi, table.vmin + static_cast<Cost>(i));
+    hi = lo;
+  }
+  return out;
+}
+
+void NodDpEngine::ImportLeafTable(NodeId leaf, const CostTable& table) {
   RPT_REQUIRE(view_.IsLive(CheckNode(leaf)), "NodDpEngine: imported tables belong to live nodes");
   RPT_REQUIRE(view_.IsClient(leaf), "NodDpEngine: imported tables belong to client leaves");
   RPT_REQUIRE(table.size() == static_cast<std::size_t>(view_.SubtreeRequests(leaf)) + 1,
@@ -549,7 +520,20 @@ void NodDpEngine::ImportLeafTable(NodeId leaf, CostTable table) {
   for (std::size_t u = 1; u < table.size(); ++u) {
     RPT_REQUIRE(table[u] <= table[u - 1], "NodDpEngine: imported table must be non-increasing");
   }
-  imported_[leaf] = std::move(table);
+  // Walk the runs of equal cost from the cheapest (ending at u = demand) to
+  // the first finite entry: each run start is the next inverse entry. A run
+  // more than one cost above the previous one would repeat an entry, which
+  // no convex table does.
+  Table converted{table.back(), table.size() - 1, {}};
+  std::size_t u = table.size() - 1;
+  for (; u > 0 && table[u - 1] < kInf; --u) {
+    if (table[u - 1] == table[u]) continue;
+    RPT_REQUIRE(table[u - 1] == table[u] + 1, "NodDpEngine: imported table must be convex");
+    converted.inv.push_back(u);
+  }
+  converted.inv.push_back(u);
+  RPT_REQUIRE(IsConvex(converted.inv), "NodDpEngine: imported table must be convex");
+  imported_[leaf] = std::move(converted);
   computed_ = false;  // any previously stored leaf table is stale until the next pass
 }
 
@@ -566,9 +550,9 @@ std::vector<NodDpEngine::ImportBudget> NodDpEngine::AssignImportedBudgets() cons
   while (!stack.empty()) {
     const auto [node, budget] = stack.back();
     stack.pop_back();
-    const CostTable& table = f_[node];
-    RPT_CHECK(!table.empty());
-    const std::size_t u = std::min(budget, table.size() - 1);
+    const Table& table = f_[node];
+    RPT_CHECK(!table.inv.empty());
+    const std::size_t u = std::min<std::size_t>(budget, table.total);
     if (view_.IsClient(node)) {
       if (imported_.contains(node)) out.push_back(ImportBudget{node, u});
       continue;
@@ -587,8 +571,7 @@ std::vector<NodDpEngine::ImportBudget> NodDpEngine::AssignImportedBudgets() cons
 
 NodDpEngine::BudgetedBacktrack NodDpEngine::BacktrackWithBudget(std::size_t budget) {
   RPT_REQUIRE(computed_, "NodDpEngine: BacktrackWithBudget requires up-to-date tables");
-  const CostTable& root = f_[view_.Root()];
-  RPT_REQUIRE(!root.empty() && root[std::min(budget, root.size() - 1)] < kInf,
+  RPT_REQUIRE(CostAt(f_[view_.Root()], budget) < kInf,
               "NodDpEngine: no feasible reconstruction at this budget");
   pend_entries_.clear();
   BudgetedBacktrack out;

@@ -4,17 +4,24 @@
 //
 // The engine owns the DP tables for one tree: the per-node F tables (F_j(u)
 // = min replicas in subtree(j) forwarding at most u requests above j) and
-// the per-internal-node prefix tables G_0..G_k used by backtracking. Demand
-// is not engine state: every pass reads RequestsOf/SubtreeRequests from the
-// view it runs over. Two forward passes share every kernel:
+// the per-internal-node prefix tables G_0..G_k used by backtracking. Every
+// table is stored in the cost domain, as its inverse staircase: inv[i] is
+// the fewest requests forwarded at cost <= vmin + i. Because W is uniform,
+// every table is convex (its steps inv[i-1] - inv[i] never grow with i),
+// which makes the DP linear in table length:
+//  * a table has at most one entry per node it covers, plus one, whatever
+//    the demand — each entry past the first is one more replica;
+//  * merging a child into the prefix chain is a steepest-step-first merge
+//    of the two step lists, O(|a| + |b|);
+//  * the node step (a replica here absorbs up to W) is one pass over G;
+//  * reconstruction reads F_j(u) by binary search.
+// Demand is not engine state: every pass reads RequestsOf/SubtreeRequests
+// from the view it runs over. Two forward passes share every kernel:
 //
 //  * ComputeAll()       — the classic full pass: level-synchronous sweep
 //                         deepest-first, parallel chunks within a level on
-//                         the process-wide SolverPool(), per-chunk scratch
-//                         vectors leased from a ScratchPool (see
-//                         multiple_nod_dp.hpp for the staircase-convolution
-//                         details). This is exactly what SolveMultipleNodDp
-//                         runs.
+//                         the process-wide SolverPool(). This is exactly
+//                         what SolveMultipleNodDp runs.
 //  * RecomputeDirty(S)  — the incremental pass: given the set S of touched
 //                         nodes, only the union of their root paths is
 //                         re-processed (children before parents, parallel
@@ -24,7 +31,7 @@
 //                         reused up to the first dirty child, so a change
 //                         under the last child re-runs only the tail merges.
 //
-// Invariant: after either pass, every table equals byte-for-byte what a
+// Invariant: after either pass, every table equals exactly what a
 // from-scratch ComputeAll() over the current (demands, capacity) state
 // would produce — recomputed nodes see identical inputs (their children's
 // tables), and the DP itself is deterministic at any thread count. This is
@@ -65,30 +72,19 @@
 #include <vector>
 
 #include "model/solution.hpp"
-#include "support/scratch_pool.hpp"
 #include "tree/topology_view.hpp"
 
 namespace rpt::multiple {
-
-namespace detail {
-
-/// The staircase-merge inner loop: out[j] = min(out[j], rhs[j] + shift) for
-/// j in [0, n). Written branch-free over restrict-qualified flat arrays so
-/// the compiler auto-vectorizes it; equivalent entry-for-entry to the scalar
-/// reference (asserted by test_multiple_nod_dp).
-void MergeMinShift(std::uint32_t* out, const std::uint32_t* rhs, std::uint32_t shift,
-                   std::size_t n) noexcept;
-
-}  // namespace detail
 
 /// Counters describing the work and footprint of the DP passes run so far.
 /// Table entries / convolve cells are exact integer sums accumulated with
 /// relaxed atomics, so they are identical at any thread count.
 struct NodDpWork {
-  /// Entries (4 bytes each) written across all F and prefix tables.
+  /// Cost-domain entries (8 bytes each) written across all F and prefix
+  /// tables.
   std::uint64_t table_entries = 0;
-  /// Inner-loop iterations of all staircase convolutions (cost-domain
-  /// cells), the dominant arithmetic of the forward passes.
+  /// Entries written by the child merges of the prefix chains, the
+  /// dominant arithmetic of the forward passes.
   std::uint64_t convolve_cells = 0;
   /// Nodes processed (a node re-processed by several passes counts each
   /// time).
@@ -104,6 +100,8 @@ struct NodDpWork {
 class NodDpEngine {
  public:
   using Cost = std::uint32_t;
+  /// A table in the request domain: entry u is F(u) for u = 0..demand.
+  /// Only the engine's boundary (TableOf, ImportLeafTable) uses this form.
   using CostTable = std::vector<Cost>;
 
   /// Sentinel for "no feasible entry" in a cost table.
@@ -152,12 +150,10 @@ class NodDpEngine {
   /// (F_root(0) finite). Requires up-to-date tables.
   [[nodiscard]] bool Feasible() const;
 
-  /// The F table of `node` (valid until the next pass or mutation). Exposed
-  /// for the sharded solve's boundary-table export and for tests.
-  [[nodiscard]] const CostTable& TableOf(NodeId node) const {
-    RPT_REQUIRE(computed_, "NodDpEngine: TableOf requires up-to-date tables");
-    return f_[CheckNode(node)];
-  }
+  /// The F table of `node`, materialized in the request domain (size =
+  /// subtree demand + 1; kInfCost where no placement forwards that little).
+  /// Exposed for the sharded solve's boundary-table export and for tests.
+  [[nodiscard]] CostTable TableOf(NodeId node) const;
 
   /// Reconstructs an optimal placement + routing from the tables; requires
   /// Feasible(). The returned solution is canonicalized and identical to
@@ -188,11 +184,12 @@ class NodDpEngine {
 
   /// Installs the boundary table of the cut subtree behind `leaf` (a client
   /// leaf whose requests equal the subtree's demand). The table must be the
-  /// subtree root's F table: size = demand + 1, monotone non-increasing,
-  /// finite at full forwarding. Forward passes install it verbatim instead
-  /// of the standard client table; tables become stale until the next
-  /// ComputeAll().
-  void ImportLeafTable(NodeId leaf, CostTable table);
+  /// subtree root's F table as TableOf returns it: size = demand + 1,
+  /// monotone non-increasing, finite at full forwarding, and convex (no
+  /// subtree produces anything else; InvalidArgument otherwise). Forward
+  /// passes install it instead of the standard client table; tables become
+  /// stale until the next ComputeAll().
+  void ImportLeafTable(NodeId leaf, const CostTable& table);
 
   /// Budget assigned to one imported leaf by the downward budget sweep.
   struct ImportBudget {
@@ -241,20 +238,15 @@ class NodDpEngine {
   [[nodiscard]] std::uint64_t LastPassNodes() const noexcept { return last_pass_nodes_; }
 
  private:
-  // Per-chunk scratch: two input staircases plus the output inverse, three
-  // vectors refilled by assign() on every convolution. The scratch is leased
-  // from scratch_pool_, so its capacity is reused across merges, levels, and
-  // passes (no steady-state allocation).
-  struct Staircase {
+  // One DP table in the cost domain: inv[i] is the fewest requests
+  // forwarded at cost <= vmin + i, strictly decreasing and convex; `total`
+  // is the largest forwarded amount the table spans (the subtree demand for
+  // F, the children's running sum for a prefix). Below inv.back() no
+  // placement exists (cost kInfCost).
+  struct Table {
     Cost vmin = 0;
-    Cost vmax = 0;
-    std::vector<std::uint32_t> inv;
-    void BuildFrom(const CostTable& table);
-  };
-  struct ConvolveScratch {
-    Staircase lhs;
-    Staircase rhs;
-    std::vector<std::uint32_t> out_inv;
+    Requests total = 0;
+    std::vector<Requests> inv;
   };
   struct ChunkCounters {
     std::uint64_t entries = 0;
@@ -266,13 +258,15 @@ class NodDpEngine {
     return id;
   }
 
-  void Convolve(const CostTable& a, const CostTable& b, CostTable& out, ConvolveScratch& scratch,
-                std::uint64_t& cells);
+  /// F(u): the table's cost at forwarded budget min(u, total), kInfCost
+  /// when no placement forwards that little.
+  static Cost CostAt(const Table& table, std::size_t u);
+  /// out = a (+) b, the min-plus convolution of two convex tables.
+  static void MergeSteps(const Table& a, const Table& b, Table& out);
   /// Recomputes f_[node]; for internal nodes the prefix chain is rebuilt
   /// from child index `first_child` on (0 = full rebuild). All children must
   /// already be up to date.
-  void ProcessNode(NodeId node, std::size_t first_child, ConvolveScratch& scratch,
-                   ChunkCounters& counters);
+  void ProcessNode(NodeId node, std::size_t first_child, ChunkCounters& counters);
   /// Sweeps the per-level node buckets deepest-first, parallel within each
   /// level; `levels` holds node ids bucketed by depth.
   void SweepLevels(const std::vector<std::vector<NodeId>>& levels, bool incremental);
@@ -307,8 +301,8 @@ class NodDpEngine {
   };
   // Hard cap on the summed EntryCount over all cached fragments (~2M
   // entries, tens of MB): every internal node eventually records its whole
-  // subtree's slice, which sums to O(|solution| * depth) — fine for the DP's
-  // pseudo-polynomial workloads, but capped so a pathological stream cannot
+  // subtree's slice, which sums to O(|solution| * depth) — fine for the
+  // DP's typical workloads, but capped so a pathological stream cannot
   // grow the cache without bound. Past the cap, recording stops (existing
   // fragments may still be replaced in place and still replay); correctness
   // never depends on a fragment being cached.
@@ -332,8 +326,8 @@ class NodDpEngine {
 
   TopologyView view_;
   Requests capacity_;
-  std::vector<CostTable> f_;
-  std::vector<std::vector<CostTable>> prefixes_;
+  std::vector<Table> f_;
+  std::vector<std::vector<Table>> prefixes_;
   std::vector<std::vector<NodeId>> all_levels_;    // every live node bucketed by depth
   std::vector<std::vector<NodeId>> dirty_levels_;  // reused dirty buckets
   std::vector<std::uint64_t> last_dirty_pass_;     // forward pass that last re-processed a node
@@ -345,7 +339,6 @@ class NodDpEngine {
   std::vector<std::uint64_t> force_prefix_rebuild_;
   std::uint64_t pass_ = 0;                         // forward passes run so far
   bool computed_ = false;
-  ScratchPool<ConvolveScratch> scratch_pool_;
   NodDpWork work_;
   std::uint64_t last_pass_nodes_ = 0;
   std::vector<PendEntry> pend_entries_;  // Backtrack arena, reused per call
@@ -353,7 +346,7 @@ class NodDpEngine {
   // Sharded solve: boundary tables imported at client leaves, and the
   // fragment provider Backtrack() replays their forwarded pendings from.
   // Empty (and cost-free on every path) outside the coordinator.
-  std::unordered_map<NodeId, CostTable> imported_;
+  std::unordered_map<NodeId, Table> imported_;
   ImportedFragmentFn imported_provider_;
   std::size_t frag_entries_total_ = 0;   // summed EntryCount, vs kFragEntryBudget
   std::size_t last_replica_count_ = 0;   // previous solution sizes, for reserve

@@ -32,8 +32,8 @@ std::string EncodeTablePayload(const BoundaryTable& table) {
   RPT_REQUIRE(table.table.size() == table.demand + 1,
               "rpt-btab: table size must be demand + 1");
   RPT_REQUIRE(table.table.back() < kInf, "rpt-btab: table needs a finite entry");
-  // Cost-domain compression: the staircase's inverse, exactly the DP's
-  // internal form (see Staircase::BuildFrom in nod_dp_engine.cpp).
+  // Cost-domain compression: inv[c - vmin] is the smallest u with
+  // table[u] <= c, for every cost c in [vmin, vmax].
   std::size_t f = 0;
   while (table.table[f] >= kInf) ++f;
   const Cost vmax = table.table[f];
@@ -83,8 +83,8 @@ void DecodeTablePayload(Reader& cur, BtabFile& file) {
   }
   if (!cur.Exhausted()) Fail("table payload overruns its fields");
 
-  // Materialize — the mirror of the DP convolution's output loop, so the
-  // round trip is exact entry for entry.
+  // Materialize — the mirror of NodDpEngine::TableOf, so the round trip is
+  // exact entry for entry.
   table.table.assign(static_cast<std::size_t>(table.demand) + 1, kInf);
   std::size_t hi = table.table.size();
   for (Cost c = vmin; c <= vmax && hi > 0; ++c) {

@@ -18,7 +18,7 @@
 //
 // A TABLE payload stores the staircase *compressed* in the cost domain:
 // (vmin, vmax, inv[]) with inv[c - vmin] = smallest u such that F(u) <= c —
-// the same inverse form the DP's convolution uses internally. Reconstruction
+// the inverse form the DP stores its tables in. Reconstruction
 // is exact (the staircase is monotone with integer costs), so the table the
 // coordinator imports is byte-identical to the table the worker computed,
 // while the wire size is O(cost range), not O(demand).

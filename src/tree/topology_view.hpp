@@ -37,16 +37,6 @@ class TopologyView {
   TopologyView(const TreeOverlay& overlay) noexcept : overlay_(&overlay) {}  // NOLINT
 
   [[nodiscard]] bool IsOverlay() const noexcept { return overlay_ != nullptr; }
-  /// The bound base tree; only valid when !IsOverlay().
-  [[nodiscard]] const Tree& BaseTree() const {
-    RPT_REQUIRE(tree_ != nullptr, "TopologyView: no base tree bound");
-    return *tree_;
-  }
-  /// The bound overlay; only valid when IsOverlay().
-  [[nodiscard]] const TreeOverlay& Overlay() const {
-    RPT_REQUIRE(overlay_ != nullptr, "TopologyView: no overlay bound");
-    return *overlay_;
-  }
 
   [[nodiscard]] NodeId Root() const noexcept { return 0; }
   [[nodiscard]] std::size_t Size() const noexcept {

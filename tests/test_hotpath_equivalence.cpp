@@ -25,6 +25,7 @@
 #include "gen/shapes.hpp"
 #include "model/instance.hpp"
 #include "model/solution.hpp"
+#include "model/validate.hpp"
 #include "multiple/multiple_nod_dp.hpp"
 
 namespace rpt {
@@ -251,35 +252,37 @@ TEST(SolverGoldens, RandomTreeInstances) {
 }
 
 // ---------------------------------------------------------------------------
-// DP table bounds (the Convolve quadratic-blow-up guard).
+// DP table bounds: tables are sized by the nodes below them, never by demand.
 // ---------------------------------------------------------------------------
 
-// Analytic bound on stored DP entries: every node's F table has subtree
-// demand + 1 entries and every internal node additionally stores prefix
-// tables G_0..G_k, each bounded by the demand merged so far + 1.
+// Analytic bound on stored DP entries: every node's F table holds at most
+// (nodes in its subtree + 1) entries, and every internal node additionally
+// stores prefix tables G_0..G_k, where G_k holds at most (nodes under
+// children 0..k-1) + 1 entries. Each entry past a table's first is one more
+// replica, so demand does not appear.
 std::uint64_t DpEntryBound(const Tree& tree) {
   std::uint64_t entries = 0;
   for (NodeId id = 0; id < tree.Size(); ++id) {
-    entries += static_cast<std::uint64_t>(tree.SubtreeRequests(id)) + 1;
+    entries += static_cast<std::uint64_t>(tree.SubtreeSize(id)) + 1;
     if (tree.IsClient(id)) continue;
     std::uint64_t below = 0;
     entries += 1;  // G_0
     for (const NodeId child : tree.Children(id)) {
-      below += tree.SubtreeRequests(child);
+      below += tree.SubtreeSize(child);
       entries += below + 1;
     }
   }
   return entries;
 }
 
-TEST(MultipleNodDpBounds, TablesStayDemandBounded) {
+TEST(MultipleNodDpBounds, TablesStayNodeBounded) {
   const Instance instance = MakeBinaryInstance(7);
   const auto result = multiple::SolveMultipleNodDp(instance);
   ASSERT_TRUE(result.feasible);
   EXPECT_GT(result.stats.table_entries, 0u);
   EXPECT_LE(result.stats.table_entries, DpEntryBound(instance.GetTree()));
-  // The cost-domain convolution must be far below the request-domain
-  // quadratic (sum over nodes of the two merged table sizes multiplied).
+  // The step merges write each prefix entry once, far below the
+  // request-domain quadratic.
   EXPECT_GT(result.stats.convolve_cells, 0u);
   const std::uint64_t total = instance.GetTree().TotalRequests();
   EXPECT_LT(result.stats.convolve_cells, total * total);
@@ -288,7 +291,7 @@ TEST(MultipleNodDpBounds, TablesStayDemandBounded) {
 TEST(MultipleNodDpBounds, HugeDemandLeadingInfRuns) {
   // One client with demand far above W on a chain: the leaf table starts
   // with a long kInf run (at least r - d*W forwarded no matter what), which
-  // the staircase convolution must skip rather than scan.
+  // costs the cost-domain tables nothing.
   const Requests demand = 50000;
   const Requests capacity = 10;
   const std::uint32_t depth = 6;  // client + 5 internal ancestors
@@ -305,6 +308,18 @@ TEST(MultipleNodDpBounds, HugeDemandLeadingInfRuns) {
   ASSERT_TRUE(result.feasible);
   EXPECT_EQ(result.solution.ReplicaCount(), depth);
   EXPECT_LE(result.stats.table_entries, DpEntryBound(tight.GetTree()));
+
+  // 2^40 requests on a chain whose hosts can absorb exactly that much: a
+  // request-domain table of this subtree would need 2^40 + 1 entries.
+  const Requests huge = Requests{1} << 40;
+  const std::uint32_t hosts = 4;
+  Instance giant(gen::MakeChain(hosts, huge, 1), huge / hosts, kNoDistanceLimit);
+  const auto solved = multiple::SolveMultipleNodDp(giant);
+  ASSERT_TRUE(solved.feasible);
+  EXPECT_EQ(solved.solution.ReplicaCount(), hosts);
+  const auto report = ValidateSolution(giant, Policy::kMultiple, solved.solution);
+  EXPECT_TRUE(report.ok) << report.Describe();
+  EXPECT_LE(solved.stats.table_entries, DpEntryBound(giant.GetTree()));
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Tests for the Multiple-NoD exact DP: hand-checkable optima, feasibility
-// edge cases (clients larger than W on short chains), and agreement with the
-// exhaustive Multiple solver on small random trees.
+// edge cases (clients larger than W on short chains), agreement with the
+// exhaustive Multiple solver on small random trees, and every node's table
+// against a naive request-domain DP.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <ostream>
 #include <vector>
 
@@ -14,6 +14,7 @@
 #include "model/validate.hpp"
 #include "multiple/multiple_nod_dp.hpp"
 #include "support/rng.hpp"
+#include "tree/tree_overlay.hpp"
 
 namespace rpt::multiple {
 namespace {
@@ -136,36 +137,148 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MultipleNodDpAgreement,
                                            DpCase{4, 6, 4, 6, 17}),  // heavy splitting
                          ::testing::PrintToStringParamName());
 
-// Scalar reference for the vectorized staircase-merge inner loop.
-void MergeMinShiftScalar(std::vector<std::uint32_t>& out,
-                         const std::vector<std::uint32_t>& rhs, std::uint32_t shift) {
-  for (std::size_t j = 0; j < rhs.size(); ++j) {
-    out[j] = std::min(out[j], rhs[j] + shift);
-  }
+// ---------------------------------------------------------------------------
+// The engine's cost-domain tables against the textbook request-domain DP.
+// ---------------------------------------------------------------------------
+
+using CostTable = NodDpEngine::CostTable;
+constexpr NodDpEngine::Cost kInf = NodDpEngine::kInfCost;
+
+// Client leaf: forward all r at cost 0, or serve min(r, W) at cost 1.
+CostTable NaiveLeaf(Requests r, Requests capacity) {
+  CostTable table(static_cast<std::size_t>(r) + 1, kInf);
+  for (Requests u = r > capacity ? r - capacity : 0; u <= r; ++u) table[u] = 1;
+  table[r] = 0;
+  return table;
 }
 
-TEST(MergeMinShift, MatchesScalarReference) {
-  Rng rng(4242);
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t n = 1 + rng.NextBelow(300);
-    std::vector<std::uint32_t> out(n);
-    std::vector<std::uint32_t> rhs(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      // Include the UINT32_MAX "unwritten" sentinel the convolution uses.
-      out[j] = rng.NextBool(0.2) ? std::numeric_limits<std::uint32_t>::max()
-                                 : static_cast<std::uint32_t>(rng.NextBelow(1 << 20));
-      rhs[j] = static_cast<std::uint32_t>(rng.NextBelow(1 << 20));
+// O(|a| * |b|) min-plus convolution, closed under "forward less".
+CostTable NaiveConvolve(const CostTable& a, const CostTable& b) {
+  CostTable out(a.size() + b.size() - 1, kInf);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      if (a[i] < kInf && b[j] < kInf) out[i + j] = std::min(out[i + j], a[i] + b[j]);
     }
-    const auto shift = static_cast<std::uint32_t>(rng.NextBelow(1 << 20));
-    std::vector<std::uint32_t> expected = out;
-    MergeMinShiftScalar(expected, rhs, shift);
-    detail::MergeMinShift(out.data(), rhs.data(), shift, n);
-    EXPECT_EQ(out, expected) << "round " << round;
   }
+  for (std::size_t u = 1; u < out.size(); ++u) out[u] = std::min(out[u], out[u - 1]);
+  return out;
 }
 
-TEST(MergeMinShift, ZeroLengthIsANoop) {
-  detail::MergeMinShift(nullptr, nullptr, 7, 0);  // must not dereference
+// F(u) = min(G(u), 1 + G(min(total, u + min(W, total)))).
+CostTable NaiveNodeStep(const CostTable& g, Requests capacity) {
+  const std::size_t total = g.size() - 1;
+  const std::size_t w = std::min<std::size_t>(capacity, total);
+  CostTable f = g;
+  for (std::size_t u = 0; u <= total; ++u) {
+    const std::size_t relaxed = std::min(total, u + w);
+    if (g[relaxed] < kInf) f[u] = std::min(f[u], g[relaxed] + 1);
+  }
+  return f;
+}
+
+// Compares TableOf on every live node with the naive DP over the overlay's
+// current state; returns the number of tables compared.
+std::size_t ExpectTablesMatchNaive(const NodDpEngine& engine, const TreeOverlay& overlay,
+                                   Requests capacity, const char* stage, std::uint64_t seed) {
+  std::vector<CostTable> naive(overlay.Size());
+  std::size_t compared = 0;
+  for (const NodeId id : overlay.PostOrder()) {
+    if (overlay.IsClient(id)) {
+      naive[id] = NaiveLeaf(overlay.RequestsOf(id), capacity);
+    } else {
+      CostTable g{0};
+      for (const NodeId child : overlay.Children(id)) g = NaiveConvolve(g, naive[child]);
+      naive[id] = NaiveNodeStep(g, capacity);
+    }
+    EXPECT_EQ(engine.TableOf(id), naive[id]) << stage << " seed=" << seed << " node=" << id;
+    ++compared;
+  }
+  return compared;
+}
+
+TEST(MultipleNodDpTables, MatchNaiveRequestDomainDp) {
+  const Requests capacities[] = {1, 3, 7, 10, 30, 41};
+  std::size_t compared = 0;
+  for (std::uint64_t seed = 0; seed < 150; ++seed) {
+    Rng rng(9100 + seed);
+    const Requests capacity = capacities[seed % 6];
+    gen::RandomTreeConfig cfg;
+    cfg.max_children = 2 + static_cast<std::uint32_t>(rng.NextBelow(6));  // arity 2..7
+    cfg.internal_nodes = 1 + static_cast<std::uint32_t>(rng.NextBelow(10));
+    cfg.clients = std::min(cfg.internal_nodes * (cfg.max_children - 1) + 1,
+                           cfg.internal_nodes + static_cast<std::uint32_t>(rng.NextBelow(20)));
+    cfg.min_requests = 0;
+    cfg.max_requests = 2 * capacity + 5;
+    TreeOverlay overlay(gen::GenerateRandomTree(cfg, 500 + seed));
+    NodDpEngine engine(overlay, capacity);
+    engine.ComputeAll();
+    compared += ExpectTablesMatchNaive(engine, overlay, capacity, "ComputeAll", seed);
+
+    // Demand writes, re-solved along their root paths.
+    std::vector<NodeId> touched;
+    for (int k = 0; k < 4; ++k) {
+      const auto clients = overlay.Clients();
+      const NodeId client = clients[rng.NextBelow(clients.size())];
+      overlay.SetRequests(client, rng.NextBelow(2 * capacity + 6));
+      touched.push_back(client);
+    }
+    engine.RecomputeDirty(touched);
+    compared += ExpectTablesMatchNaive(engine, overlay, capacity, "RecomputeDirty", seed);
+
+    // One detach (of a node whose parent keeps another child) and one
+    // attach of a two-client pod, as the incremental solver stages them.
+    std::vector<NodeId> seeds;
+    std::vector<NodeId> children_changed;
+    std::vector<NodeId> removed;
+    std::vector<NodeId> detachable;
+    for (const NodeId id : overlay.PostOrder()) {
+      if (id != overlay.Root() && overlay.Children(overlay.Parent(id)).size() >= 2) {
+        detachable.push_back(id);
+      }
+    }
+    if (!detachable.empty()) {
+      const NodeId victim = detachable[rng.NextBelow(detachable.size())];
+      const NodeId parent = overlay.Parent(victim);
+      overlay.DetachSubtree(victim, &removed);
+      seeds.push_back(parent);
+      children_changed.push_back(parent);
+    }
+    std::vector<NodeId> internals;
+    for (const NodeId id : overlay.PostOrder()) {
+      if (!overlay.IsClient(id)) internals.push_back(id);
+    }
+    SubtreeSpec pod;
+    pod.nodes.push_back({NodeKind::kInternal, 0, 1, 0});
+    pod.nodes.push_back({NodeKind::kClient, 0, 1, rng.NextBelow(2 * capacity + 6)});
+    pod.nodes.push_back({NodeKind::kClient, 0, 1, rng.NextBelow(2 * capacity + 6)});
+    const NodeId first = overlay.AttachSubtree(internals[rng.NextBelow(internals.size())], pod);
+    for (NodeId id = first; id < overlay.Size(); ++id) seeds.push_back(id);
+    engine.ApplyTopology(overlay, children_changed, removed);
+    engine.RecomputeDirty(seeds);
+    compared += ExpectTablesMatchNaive(engine, overlay, capacity, "ApplyTopology", seed);
+  }
+  EXPECT_GT(compared, 5000u);
+}
+
+TEST(MultipleNodDpTables, ImportRefusesNonConvexTable) {
+  // A demand-4 boundary leaf: {3, 3, 1, 1, 0} is non-increasing and finite
+  // at full forwarding, but its inverse {4, 2, 2, 0} is not convex, so no
+  // subtree can have produced it.
+  TreeBuilder b;
+  const NodeId root = b.AddRoot();
+  const NodeId leaf = b.AddClient(root, 1, 4);
+  b.AddClient(root, 1, 2);
+  const Tree tree = b.Build();
+  NodDpEngine engine(tree, 3);
+  EXPECT_THROW(engine.ImportLeafTable(leaf, {3, 3, 1, 1, 0}), InvalidArgument);
+  EXPECT_THROW(engine.ImportLeafTable(leaf, {2, 2, 0, 0, 0}), InvalidArgument);  // skips cost 1
+  EXPECT_THROW(engine.ImportLeafTable(leaf, {2, 2, 2, 1, 0}), InvalidArgument);  // steps 1, then 3
+  // The table a subtree of two demand-2 clients under one node does produce
+  // (W = 3) installs and solves.
+  engine.ImportLeafTable(leaf, {2, 1, 1, 1, 0});
+  engine.ComputeAll();
+  EXPECT_EQ(engine.TableOf(leaf), (CostTable{2, 1, 1, 1, 0}));
+  EXPECT_TRUE(engine.Feasible());
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "support/cli.hpp"
 #include "support/common.hpp"
 #include "support/rng.hpp"
-#include "support/scratch_pool.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -336,24 +335,6 @@ TEST(ThreadPool, SolverPoolFollowsConfiguredWidth) {
   SetSolverThreads(1);  // serial: no pool at all
   EXPECT_EQ(SolverPool(), nullptr);
   EXPECT_EQ(SolverThreads(), 1u);
-}
-
-TEST(ScratchPool, LeasesAreDistinctAndRecycled) {
-  ScratchPool<std::vector<int>> pool;
-  std::vector<int>* first = nullptr;
-  {
-    auto a = pool.Acquire();
-    auto b = pool.Acquire();
-    a->push_back(1);
-    b->push_back(2);
-    EXPECT_NE(&*a, &*b);
-    first = &*a;
-  }
-  EXPECT_EQ(pool.IdleCount(), 2u);
-  // Reacquire: one of the pooled objects comes back, capacity intact.
-  auto c = pool.Acquire();
-  EXPECT_EQ(pool.IdleCount(), 1u);
-  EXPECT_TRUE(&*c == first || c->capacity() > 0);
 }
 
 TEST(Cli, ParsesTypedFlags) {
