@@ -46,8 +46,11 @@ ValidationReport ValidateSolution(const Instance& instance, Policy policy,
   // 2. Per-entry checks; accumulate per-client and per-server totals.
   std::vector<Requests> served_of_client(tree.Size(), 0);
   std::vector<Requests> load_of_server(tree.Size(), 0);
-  std::vector<std::pair<NodeId, NodeId>> client_server_pairs;
-  if (policy == Policy::kSingle) client_server_pairs.reserve(solution.assignment.size());
+  // Single policy: the first server each client uses, and every client seen
+  // with a second one.
+  std::vector<NodeId> first_server;
+  std::vector<NodeId> split_clients;
+  if (policy == Policy::kSingle) first_server.assign(tree.Size(), kInvalidNode);
   for (const ServiceEntry& entry : solution.assignment) {
     if (entry.client >= tree.Size() || !tree.IsClient(entry.client)) {
       report.Fail("assignment from non-client node " + std::to_string(entry.client));
@@ -74,7 +77,11 @@ ValidationReport ValidateSolution(const Instance& instance, Policy policy,
     }
     served_of_client[entry.client] += entry.amount;
     load_of_server[entry.server] += entry.amount;
-    if (policy == Policy::kSingle) client_server_pairs.emplace_back(entry.client, entry.server);
+    if (policy == Policy::kSingle) {
+      NodeId& first = first_server[entry.client];
+      if (first == kInvalidNode) first = entry.server;
+      if (first != entry.server) split_clients.push_back(entry.client);
+    }
   }
 
   // 3. Completeness: every client fully served (clients with r_i = 0 are
@@ -88,25 +95,24 @@ ValidationReport ValidateSolution(const Instance& instance, Policy policy,
     }
   }
 
-  // 4. Single policy: one server per client (count distinct servers per
-  // client over the sorted pair list).
-  if (policy == Policy::kSingle) {
-    std::sort(client_server_pairs.begin(), client_server_pairs.end());
-    std::size_t i = 0;
-    while (i < client_server_pairs.size()) {
-      const NodeId client = client_server_pairs[i].first;
-      std::size_t distinct = 0;
-      NodeId last_server = kInvalidNode;
-      for (; i < client_server_pairs.size() && client_server_pairs[i].first == client; ++i) {
-        if (client_server_pairs[i].second != last_server) {
-          ++distinct;
-          last_server = client_server_pairs[i].second;
-        }
+  // 4. Single policy: one server per client. Only a client that failed in
+  // step 2 has its distinct servers counted, for the error text, over its
+  // sorted (client, server) pairs.
+  if (!split_clients.empty()) {
+    std::sort(split_clients.begin(), split_clients.end());
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (const ServiceEntry& entry : solution.assignment) {
+      if (entry.server < tree.Size() && entry.amount > 0 &&
+          std::binary_search(split_clients.begin(), split_clients.end(), entry.client)) {
+        pairs.emplace_back(entry.client, entry.server);
       }
-      if (distinct > 1) {
-        report.Fail("Single policy: client " + std::to_string(client) + " uses " +
-                    std::to_string(distinct) + " servers");
-      }
+    }
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    for (std::size_t i = 0, j = 0; i < pairs.size(); i = j) {
+      while (j < pairs.size() && pairs[j].first == pairs[i].first) ++j;
+      report.Fail("Single policy: client " + std::to_string(pairs[i].first) + " uses " +
+                  std::to_string(j - i) + " servers");
     }
   }
 

@@ -37,10 +37,8 @@ namespace rpt::multiple {
 
 /// Counters describing the work and footprint of one DP run.
 struct MultipleNodDpStats {
-  /// Total cost-domain entries (8 bytes each) held across all stored F
-  /// and prefix tables; every table is bounded by the nodes below it + 1,
-  /// so this is also the peak footprint (tables live until backtracking
-  /// ends).
+  /// Cost-domain entries (8 bytes each) written across the F and prefix
+  /// tables; the footprint is the engine's NodDpWork::storage_entries.
   std::uint64_t table_entries = 0;
   /// Entries written by the child merges, the dominant arithmetic of the
   /// forward pass.

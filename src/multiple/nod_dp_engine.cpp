@@ -16,7 +16,7 @@ constexpr Cost kInf = NodDpEngine::kInfCost;
 // Strictly decreasing with steps inv[i-1] - inv[i] that never grow: the
 // shape of every table a subtree produces under a uniform W, and the one
 // shape on which the step merge and the node step are exact.
-bool IsConvex(const std::vector<Requests>& inv) {
+bool IsConvex(std::span<const Requests> inv) {
   for (std::size_t i = 1; i < inv.size(); ++i) {
     if (inv[i] >= inv[i - 1]) return false;
     if (i >= 2 && inv[i - 1] - inv[i] > inv[i - 2] - inv[i - 1]) return false;
@@ -30,10 +30,9 @@ NodDpEngine::NodDpEngine(TopologyView view, Requests capacity)
     : view_(view),
       capacity_(capacity),
       f_(view.Size()),
-      prefixes_(view.Size()),
+      regions_(view.Size()),
       last_dirty_pass_(view.Size(), 0),
-      force_prefix_rebuild_(view.Size(), 0),
-      frag_(view.Size()) {
+      force_prefix_rebuild_(view.Size(), 0) {
   RPT_REQUIRE(capacity_ > 0, "NodDpEngine: capacity must be positive");
   RebuildLevels();
 }
@@ -55,17 +54,18 @@ void NodDpEngine::ApplyTopology(TopologyView view, std::span<const NodeId> child
   view_ = view;
   const std::size_t n = view_.Size();
   f_.resize(n);
-  prefixes_.resize(n);
+  regions_.resize(n);
   last_dirty_pass_.resize(n, 0);
   force_prefix_rebuild_.resize(n, 0);
   frag_.resize(n);
   for (const NodeId dead : removed) {
     CheckNode(dead);
-    // Free the dead subtree's tables and reclaim its fragment budget; its
-    // slots stay allocated (ids are never reused) but no live traversal
-    // reaches them.
+    // Drop the dead subtree's tables (their regions turn to slack until the
+    // next compaction) and reclaim its fragment budget; its slots stay
+    // allocated (ids are never reused) but no live traversal reaches them.
     f_[dead] = Table{};
-    prefixes_[dead] = {};
+    live_entries_ -= regions_[dead].need;
+    regions_[dead] = Region{};
     frag_entries_total_ -= frag_[dead].EntryCount();
     frag_[dead] = FragmentCache{};
     last_dirty_pass_[dead] = 0;
@@ -91,26 +91,24 @@ void NodDpEngine::SetCapacity(Requests capacity) {
 
 NodDpEngine::Cost NodDpEngine::CostAt(const Table& table, std::size_t u) {
   const Requests clamped = std::min<Requests>(u, table.total);
-  const auto first = std::partition_point(table.inv.begin(), table.inv.end(),
-                                          [clamped](Requests v) { return v > clamped; });
-  if (first == table.inv.end()) return kInf;
-  return table.vmin + static_cast<Cost>(first - table.inv.begin());
+  const Requests* first = std::partition_point(table.inv, table.inv + table.len,
+                                               [clamped](Requests v) { return v > clamped; });
+  if (first == table.inv + table.len) return kInf;
+  return table.vmin + static_cast<Cost>(first - table.inv);
 }
+
 
 // The min-plus convolution out(c) = min over c1 + c2 = c of a(c1) + b(c2).
 // Both inputs are convex, so it is the merge of their step lists, steepest
 // first — exact, and O(|a| + |b|). The output spans |a| + |b| - 1 costs and
 // stays convex.
-void NodDpEngine::MergeSteps(const Table& a, const Table& b, Table& out) {
-  out.vmin = a.vmin + b.vmin;
-  out.total = a.total + b.total;
-  out.inv.resize(a.inv.size() + b.inv.size() - 1);
+void NodDpEngine::MergeSteps(const Table& a, const Table& b, const Table& out) {
   out.inv[0] = a.inv[0] + b.inv[0];
   std::size_t i = 1;
   std::size_t j = 1;
-  for (std::size_t k = 1; k < out.inv.size(); ++k) {
-    const Requests step_a = i < a.inv.size() ? a.inv[i - 1] - a.inv[i] : 0;
-    const Requests step_b = j < b.inv.size() ? b.inv[j - 1] - b.inv[j] : 0;
+  for (std::size_t k = 1; k < out.len; ++k) {
+    const Requests step_a = i < a.len ? a.inv[i - 1] - a.inv[i] : 0;
+    const Requests step_b = j < b.len ? b.inv[j - 1] - b.inv[j] : 0;
     if (step_a >= step_b) {
       out.inv[k] = out.inv[k - 1] - step_a;
       ++i;
@@ -121,6 +119,67 @@ void NodDpEngine::MergeSteps(const Table& a, const Table& b, Table& out) {
   }
 }
 
+void NodDpEngine::MoveRegions(std::span<const NodeId> nodes, std::size_t entries, bool carry) {
+  std::unique_lock lock(slabs_mutex_);
+  work_.storage_entries += entries;
+  Requests* next = slabs_.emplace_back(std::make_unique_for_overwrite<Requests[]>(entries)).get();
+  lock.unlock();
+  for (const NodeId node : nodes) {
+    Region& region = regions_[node];
+    Table& table = f_[node];
+    if (carry) {  // F ends the region's used part
+      std::copy(region.base, table.inv + table.len, next);
+      table.inv = next + (table.inv - region.base);
+    }
+    region.base = next;
+    next += region.cap;
+  }
+}
+
+// Runs in the chunk's worker once the children's F lengths are final; the
+// live delta is an exact modular sum, the same at any pool width.
+void NodDpEngine::PlaceChunk(std::span<const NodeId> nodes, bool incremental,
+                             ChunkCounters& counters) {
+  std::vector<NodeId> moved;
+  std::size_t fresh = 0;
+  for (const NodeId node : nodes) {
+    std::size_t prefix_len = 1;  // |G_c|
+    std::size_t need = 1;        // |G_0| + ... + |G_c|, then + |G_k| + 1 for F
+    if (view_.IsClient(node)) {
+      const auto it = imported_.empty() ? imported_.end() : imported_.find(node);
+      need = it != imported_.end() ? it->second.inv.size() : view_.RequestsOf(node) > 0 ? 2 : 1;
+    } else {
+      for (const NodeId kid : view_.Children(node)) {
+        prefix_len += f_[kid].len - 1;
+        need += prefix_len;
+      }
+      need += prefix_len + 1;
+    }
+    Region& region = regions_[node];
+    counters.live += need - (incremental ? region.need : 0);
+    region.need = need;
+    if (need <= region.cap) continue;  // rewrite in place
+    region.cap = incremental ? need + need / 8 : need;
+    fresh += region.cap;
+    moved.push_back(node);
+  }
+  // Reused prefixes keep their offsets, so an outgrown region's tables move
+  // along (they fit: old need <= old cap < need).
+  if (!moved.empty()) MoveRegions(moved, fresh, /*carry=*/incremental);
+}
+
+void NodDpEngine::CompactIfSparse() {
+  if (work_.storage_entries <= 2 * live_entries_ + (std::size_t{1} << 16)) return;
+  const auto old = std::exchange(slabs_, {});  // freed once every live region moved out
+  work_.storage_entries = 0;
+  for (const auto& level : all_levels_) {  // one exact slab per level
+    std::size_t entries = 0;
+    for (const NodeId node : level) entries += regions_[node].cap = regions_[node].need;
+    MoveRegions(level, entries, /*carry=*/true);
+  }
+  ++work_.compactions;
+}
+
 // Recomputes f_[node] (and, for internal nodes, the stored prefix tables
 // from child index `first_child` on) — all children must already be up to
 // date, which the level sweep guarantees. The recomputed tables depend only
@@ -129,76 +188,83 @@ void NodDpEngine::MergeSteps(const Table& a, const Table& b, Table& out) {
 // would.
 void NodDpEngine::ProcessNode(NodeId node, std::size_t first_child, ChunkCounters& counters) {
   Table& table = f_[node];
+  const Region& region = regions_[node];
   if (view_.IsClient(node)) {
     if (!imported_.empty()) {
       // Sharded solve: a boundary leaf's table IS the cut subtree root's F
       // table, shipped from the worker — install it verbatim.
       const auto it = imported_.find(node);
       if (it != imported_.end()) {
-        table = it->second;
-        RPT_CHECK(table.total == view_.SubtreeRequests(node));
-        counters.entries += table.inv.size();
+        const Imported& imported = it->second;
+        table = {imported.vmin, static_cast<std::uint32_t>(imported.inv.size()), imported.total,
+                 region.base};
+        RPT_CHECK(table.total == view_.SubtreeRequests(node) && table.len <= region.cap);
+        std::copy(imported.inv.begin(), imported.inv.end(), table.inv);
+        counters.entries += table.len;
         return;
       }
     }
     // No replica forwards all r at cost 0; a replica serves min(r, W)
     // locally at cost 1. A leaf without demand forwards nothing.
     const Requests r = view_.RequestsOf(node);
-    table.vmin = 0;
-    table.total = r;
-    table.inv.assign(1, r);
-    if (r > 0) table.inv.push_back(r > capacity_ ? r - capacity_ : 0);
-    counters.entries += table.inv.size();
+    table = {0, r > 0 ? 2u : 1u, r, region.base};
+    RPT_CHECK(table.len <= region.cap);
+    table.inv[0] = r;
+    if (r > 0) table.inv[1] = r > capacity_ ? r - capacity_ : 0;
+    counters.entries += table.len;
     return;
   }
-  // Children merges with stored prefixes: prefix[i] is the product of
-  // children [0, i).
+  // Children merges along the prefix chain: G_c, the product of children
+  // [0, c), is kept as stored for c <= first_child. G_0 forwards 0 at cost 0.
   const auto kids = view_.Children(node);
-  auto& prefix = prefixes_[node];
-  prefix.resize(kids.size() + 1);
+  Table g{0, 1, 0, region.base};
   if (first_child == 0) {
-    prefix[0].vmin = 0;  // empty product: forward 0 at cost 0
-    prefix[0].total = 0;
-    prefix[0].inv.assign(1, 0);
+    g.inv[0] = 0;
     counters.entries += 1;
   }
-  for (std::size_t c = first_child; c < kids.size(); ++c) {
-    MergeSteps(prefix[c], f_[kids[c]], prefix[c + 1]);
-    counters.entries += prefix[c + 1].inv.size();
-    counters.cells += prefix[c + 1].inv.size();
+  for (std::size_t c = 0; c < kids.size(); ++c) {
+    const Table& child = f_[kids[c]];
+    const Table next = Extend(g, child);
+    if (c >= first_child) {
+      MergeSteps(g, child, next);
+      counters.entries += next.len;
+      counters.cells += next.len;
+    }
+    g = next;
   }
   // The node step F(u) = min(G(u), 1 + G(min(total, u + w))), w = min(W,
   // total), in inverse form: cost c is spent either below (inv_G[c]) or as
-  // c - 1 below plus a replica here that absorbs w of what G forwards.
-  const Table& g = prefix.back();
+  // c - 1 below plus a replica here that absorbs w of what G forwards. F
+  // follows G_k; no sanitizer sees an overrun into the next region of a slab.
   RPT_CHECK(g.total == view_.SubtreeRequests(node));
   const Requests w = std::min(capacity_, g.total);
-  const std::size_t len = g.inv.size();
-  table.vmin = g.vmin;
-  table.total = g.total;
-  table.inv.resize(len + 1);
+  const std::size_t len = g.len;
+  table = {g.vmin, 0, g.total, g.inv + len};
+  RPT_CHECK(static_cast<std::size_t>(table.inv - region.base) + len + 1 <= region.cap);
   table.inv[0] = g.inv[0];
   for (std::size_t i = 1; i <= len; ++i) {
     const Requests relaxed = g.inv[i - 1] > w ? g.inv[i - 1] - w : 0;
     table.inv[i] = std::min(g.inv[std::min(i, len - 1)], relaxed);
   }
-  while (table.inv.size() > 1 && table.inv.back() == table.inv[table.inv.size() - 2]) {
-    table.inv.pop_back();
-  }
-  RPT_CHECK(IsConvex(table.inv));
-  counters.entries += table.inv.size();
+  std::size_t out = len + 1;
+  while (out > 1 && table.inv[out - 1] == table.inv[out - 2]) --out;
+  table.len = static_cast<std::uint32_t>(out);
+  RPT_CHECK(IsConvex({table.inv, out}));
+  counters.entries += out;
 }
 
 // Level-synchronous sweep, deepest level first. Within a level every node's
 // merge is independent (its children live one level deeper and are already
 // done), so the level runs as parallel chunks on the process-wide solver
-// pool; exact-integer work counters keep the outputs bit-identical to a
-// serial sweep. In the incremental form the levels hold only dirty nodes —
-// independent dirty chains proceed in parallel — and each internal node's
-// prefix chain restarts at its first dirty child.
+// pool, each chunk first placing its nodes' regions; exact-integer work
+// counters keep the outputs bit-identical to a serial sweep. In the
+// incremental form the levels hold only dirty nodes — independent dirty
+// chains proceed in parallel — and each internal node's prefix chain
+// restarts at its first dirty child.
 void NodDpEngine::SweepLevels(const std::vector<std::vector<NodeId>>& levels, bool incremental) {
   std::atomic<std::uint64_t> entries{0};
   std::atomic<std::uint64_t> cells{0};
+  std::atomic<std::uint64_t> live{0};
   std::uint64_t nodes = 0;
   ThreadPool* pool = SolverPool();
   for (std::size_t d = levels.size(); d-- > 0;) {
@@ -208,6 +274,8 @@ void NodDpEngine::SweepLevels(const std::vector<std::vector<NodeId>>& levels, bo
     ParallelForChunked(pool, level.size(), /*grain=*/1,
                        [&](std::size_t begin, std::size_t end) {
                          ChunkCounters counters;
+                         PlaceChunk(std::span(level).subspan(begin, end - begin), incremental,
+                                    counters);
                          for (std::size_t slot = begin; slot < end; ++slot) {
                            const NodeId node = level[slot];
                            std::size_t first_child = 0;
@@ -239,10 +307,12 @@ void NodDpEngine::SweepLevels(const std::vector<std::vector<NodeId>>& levels, bo
                          }
                          entries.fetch_add(counters.entries, std::memory_order_relaxed);
                          cells.fetch_add(counters.cells, std::memory_order_relaxed);
+                         live.fetch_add(counters.live, std::memory_order_relaxed);
                        });
   }
   work_.table_entries += entries.load(std::memory_order_relaxed);
   work_.convolve_cells += cells.load(std::memory_order_relaxed);
+  live_entries_ += live.load(std::memory_order_relaxed);
   work_.nodes_processed += nodes;
   last_pass_nodes_ = nodes;
 }
@@ -250,7 +320,9 @@ void NodDpEngine::SweepLevels(const std::vector<std::vector<NodeId>>& levels, bo
 void NodDpEngine::ComputeAll() {
   ++pass_;
   std::fill(last_dirty_pass_.begin(), last_dirty_pass_.end(), pass_);
+  live_entries_ = 0;  // a full pass adds every live node's need afresh
   SweepLevels(all_levels_, /*incremental=*/false);
+  CompactIfSparse();
   computed_ = true;
 }
 
@@ -261,6 +333,7 @@ void NodDpEngine::RecomputeDirty(std::span<const NodeId> touched) {
     return;
   }
   ++pass_;
+  if (frag_.empty()) frag_.resize(view_.Size());
   for (auto& level : dirty_levels_) level.clear();
   // The dirty set is the union of the touched nodes' root paths; each walk
   // stops at the first node already marked by an earlier path. Seeds are
@@ -282,6 +355,7 @@ void NodDpEngine::RecomputeDirty(std::span<const NodeId> touched) {
   // sort for deterministic chunk boundaries independent of touch order.
   for (auto& level : dirty_levels_) std::sort(level.begin(), level.end());
   SweepLevels(dirty_levels_, /*incremental=*/true);
+  CompactIfSparse();
 }
 
 bool NodDpEngine::Feasible() const {
@@ -313,7 +387,7 @@ NodDpEngine::PendChain NodDpEngine::ChainOf(
 NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
                                                   Solution& solution) {
   const Table& table = f_[node];
-  RPT_CHECK(!table.inv.empty());
+  RPT_CHECK(table.len > 0);
   u = std::min<std::size_t>(u, table.total);
 
   const auto empty_chain = [] { return PendChain{kPendNil, kPendNil, 0}; };
@@ -341,13 +415,13 @@ NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
   // built_pass, so it can never hit) and the clamped budget matches. The
   // reconstruction below is a pure function of (subtree tables, budget), so
   // the replayed bytes are exactly what the recursion would append.
-  FragmentCache& frag = frag_[node];
-  if (frag.built_pass > last_dirty_pass_[node] && frag.budget == u) {
-    solution.replicas.insert(solution.replicas.end(), frag.replicas.begin(),
-                             frag.replicas.end());
-    solution.assignment.insert(solution.assignment.end(), frag.entries.begin(),
-                               frag.entries.end());
-    return ChainOf(frag.forwarded);
+  FragmentCache* frag = frag_.empty() ? nullptr : &frag_[node];
+  if (frag != nullptr && frag->built_pass > last_dirty_pass_[node] && frag->budget == u) {
+    solution.replicas.insert(solution.replicas.end(), frag->replicas.begin(),
+                             frag->replicas.end());
+    solution.assignment.insert(solution.assignment.end(), frag->entries.begin(),
+                               frag->entries.end());
+    return ChainOf(frag->forwarded);
   }
   const std::size_t mark_replicas = solution.replicas.size();
   const std::size_t mark_entries = solution.assignment.size();
@@ -356,26 +430,26 @@ NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
     // hot path that changes again, and its fragment near the root can span
     // most of the solution — recording it every pass would cost more than
     // the recursion it saves.
-    if (last_dirty_pass_[node] >= pass_) return;
+    if (frag == nullptr || last_dirty_pass_[node] >= pass_) return;
     // Budget check: replacing this node's old fragment frees its share; a
     // brand-new fragment past the cap is simply not recorded (replay is an
     // optimization, never a correctness dependency).
-    frag_entries_total_ -= frag.EntryCount();
+    frag_entries_total_ -= frag->EntryCount();
     const std::size_t incoming_entries =
         (solution.replicas.size() - mark_replicas) + (solution.assignment.size() - mark_entries);
     if (frag_entries_total_ + incoming_entries > kFragEntryBudget) {
-      frag = FragmentCache{};  // drop the stale share instead of keeping it
+      *frag = FragmentCache{};  // drop the stale share instead of keeping it
       return;
     }
-    frag.built_pass = pass_;
-    frag.budget = u;
-    frag.replicas.assign(solution.replicas.begin() + mark_replicas, solution.replicas.end());
-    frag.entries.assign(solution.assignment.begin() + mark_entries, solution.assignment.end());
-    frag.forwarded.clear();
+    frag->built_pass = pass_;
+    frag->budget = u;
+    frag->replicas.assign(solution.replicas.begin() + mark_replicas, solution.replicas.end());
+    frag->entries.assign(solution.assignment.begin() + mark_entries, solution.assignment.end());
+    frag->forwarded.clear();
     for (std::uint32_t e = out.head; e != kPendNil; e = pend_entries_[e].next) {
-      frag.forwarded.emplace_back(pend_entries_[e].client, pend_entries_[e].amount);
+      frag->forwarded.emplace_back(pend_entries_[e].client, pend_entries_[e].amount);
     }
-    frag_entries_total_ += frag.EntryCount();
+    frag_entries_total_ += frag->EntryCount();
   };
 
   const Cost cost = CostAt(table, u);
@@ -458,8 +532,11 @@ NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
 bool NodDpEngine::SplitBudget(NodeId node, std::size_t u, std::size_t* child_budget) const {
   const Cost cost = CostAt(f_[node], u);
   RPT_CHECK(cost < kInf);
-  const auto& prefix = prefixes_[node];
-  const Table& g = prefix.back();
+  // G_k from the children's tables; walking back, each earlier prefix is
+  // its successor less one child.
+  const auto kids = view_.Children(node);
+  Table g{0, 1, 0, regions_[node].base};
+  for (const NodeId kid : kids) g = Extend(g, f_[kid]);
   const bool use_replica = CostAt(g, u) != cost;  // prefer the replica-free branch
   std::size_t budget = u;
   Cost target = cost;
@@ -475,13 +552,14 @@ bool NodDpEngine::SplitBudget(NodeId node, std::size_t u, std::size_t* child_bud
   // The smallest child budget meeting the target keeps ancestors safest. It
   // starts a run of equal child cost, so it is one of the child's inv
   // entries: try them from the last (the smallest budget) up.
-  const auto kids = view_.Children(node);
   std::size_t v = budget;
   for (std::size_t k = kids.size(); k-- > 0;) {
-    const Table& before = prefix[k];
     const Table& child = f_[kids[k]];
+    const std::uint32_t before_len = g.len - child.len + 1;
+    const Table before{g.vmin - child.vmin, before_len, g.total - child.total,
+                       g.inv - before_len};
     bool found = false;
-    for (std::size_t i = child.inv.size(); i-- > 0 && child.inv[i] <= v;) {
+    for (std::size_t i = child.len; i-- > 0 && child.inv[i] <= v;) {
       const Cost child_cost = child.vmin + static_cast<Cost>(i);
       const std::size_t rest = std::min<std::size_t>(v - child.inv[i], before.total);
       const Cost rest_cost = CostAt(before, rest);
@@ -494,6 +572,7 @@ bool NodDpEngine::SplitBudget(NodeId node, std::size_t u, std::size_t* child_bud
       }
     }
     RPT_CHECK(found);
+    g = before;
   }
   return use_replica;
 }
@@ -503,7 +582,7 @@ NodDpEngine::CostTable NodDpEngine::TableOf(NodeId node) const {
   const Table& table = f_[CheckNode(node)];
   CostTable out(static_cast<std::size_t>(table.total) + 1, kInf);
   auto hi = out.end();
-  for (std::size_t i = 0; i < table.inv.size(); ++i) {
+  for (std::size_t i = 0; i < table.len; ++i) {
     const auto lo = out.begin() + static_cast<std::ptrdiff_t>(table.inv[i]);
     std::fill(lo, hi, table.vmin + static_cast<Cost>(i));
     hi = lo;
@@ -524,7 +603,7 @@ void NodDpEngine::ImportLeafTable(NodeId leaf, const CostTable& table) {
   // the first finite entry: each run start is the next inverse entry. A run
   // more than one cost above the previous one would repeat an entry, which
   // no convex table does.
-  Table converted{table.back(), table.size() - 1, {}};
+  Imported converted{table.back(), table.size() - 1, {}};
   std::size_t u = table.size() - 1;
   for (; u > 0 && table[u - 1] < kInf; --u) {
     if (table[u - 1] == table[u]) continue;
@@ -551,7 +630,7 @@ std::vector<NodDpEngine::ImportBudget> NodDpEngine::AssignImportedBudgets() cons
     const auto [node, budget] = stack.back();
     stack.pop_back();
     const Table& table = f_[node];
-    RPT_CHECK(!table.inv.empty());
+    RPT_CHECK(table.len > 0);
     const std::size_t u = std::min<std::size_t>(budget, table.total);
     if (view_.IsClient(node)) {
       if (imported_.contains(node)) out.push_back(ImportBudget{node, u});

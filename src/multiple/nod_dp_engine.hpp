@@ -15,6 +15,14 @@
 //    of the two step lists, O(|a| + |b|);
 //  * the node step (a replica here absorbs up to W) is one pass over G;
 //  * reconstruction reads F_j(u) by binary search.
+// Storage: tables are views into engine-owned slabs. A node's region holds
+// a leaf's F, or an internal node's prefix chain G_0..G_k then F (reserved
+// at |G_k| + 1); prefix metadata follows from the children's F tables. Each
+// parallel chunk of a level reserves its nodes' regions before merging: a
+// region is rewritten in place when the new tables fit, else moved to the
+// chunk's new slab, exact in a full pass and with 1/8 slack in an
+// incremental one. Past 2 x live + 64 Ki slab entries every live region is
+// compacted, so a long-lived engine stays bounded.
 // Demand is not engine state: every pass reads RequestsOf/SubtreeRequests
 // from the view it runs over. Two forward passes share every kernel:
 //
@@ -66,6 +74,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -77,8 +87,8 @@
 namespace rpt::multiple {
 
 /// Counters describing the work and footprint of the DP passes run so far.
-/// Table entries / convolve cells are exact integer sums accumulated with
-/// relaxed atomics, so they are identical at any thread count.
+/// All counts are exact and identical at any thread count: integer sums over
+/// relaxed atomics or under the slab lock.
 struct NodDpWork {
   /// Cost-domain entries (8 bytes each) written across all F and prefix
   /// tables.
@@ -89,6 +99,10 @@ struct NodDpWork {
   /// Nodes processed (a node re-processed by several passes counts each
   /// time).
   std::uint64_t nodes_processed = 0;
+  /// Entries (8 bytes each) the slabs hold now, live or slack; not cumulative.
+  std::uint64_t storage_entries = 0;
+  /// Times the slabs were compacted.
+  std::uint64_t compactions = 0;
 };
 
 /// The Multiple-NoD DP state machine. Typical batch use:
@@ -238,12 +252,25 @@ class NodDpEngine {
   [[nodiscard]] std::uint64_t LastPassNodes() const noexcept { return last_pass_nodes_; }
 
  private:
-  // One DP table in the cost domain: inv[i] is the fewest requests
-  // forwarded at cost <= vmin + i, strictly decreasing and convex; `total`
-  // is the largest forwarded amount the table spans (the subtree demand for
-  // F, the children's running sum for a prefix). Below inv.back() no
-  // placement exists (cost kInfCost).
+  // One DP table in the cost domain, viewed in a slab: inv[i], i < len, is
+  // the fewest requests forwarded at cost <= vmin + i, strictly decreasing
+  // and convex; `total` is the largest forwarded amount the table spans
+  // (the subtree demand for F, the children's running sum for a prefix).
+  // Below inv[len - 1] no placement exists (cost kInfCost).
   struct Table {
+    Cost vmin = 0;
+    std::uint32_t len = 0;
+    Requests total = 0;
+    Requests* inv = nullptr;
+  };
+  // A node's slab storage: `cap` entries at `base`; its tables need `need`.
+  struct Region {
+    Requests* base = nullptr;
+    std::size_t cap = 0;
+    std::size_t need = 0;
+  };
+  // A boundary table imported at a client leaf, copied into its region.
+  struct Imported {
     Cost vmin = 0;
     Requests total = 0;
     std::vector<Requests> inv;
@@ -251,6 +278,7 @@ class NodDpEngine {
   struct ChunkCounters {
     std::uint64_t entries = 0;
     std::uint64_t cells = 0;
+    std::uint64_t live = 0;  // change of live_entries_ (modular)
   };
 
   NodeId CheckNode(NodeId id) const {
@@ -261,8 +289,18 @@ class NodDpEngine {
   /// F(u): the table's cost at forwarded budget min(u, total), kInfCost
   /// when no placement forwards that little.
   static Cost CostAt(const Table& table, std::size_t u);
-  /// out = a (+) b, the min-plus convolution of two convex tables.
-  static void MergeSteps(const Table& a, const Table& b, Table& out);
+  /// Metadata of the prefix after `p` once child table `c` is merged in.
+  static Table Extend(const Table& p, const Table& c) {
+    return {p.vmin + c.vmin, p.len + c.len - 1, p.total + c.total, p.inv + p.len};
+  }
+  /// Writes out = a (+) b, the min-plus convolution of convex tables; out = Extend(a, b).
+  static void MergeSteps(const Table& a, const Table& b, const Table& out);
+  /// Reserves the regions of one chunk of a level (see the header comment).
+  void PlaceChunk(std::span<const NodeId> nodes, bool incremental, ChunkCounters& counters);
+  /// Moves `nodes` into one new slab of `entries`, copying tables if `carry`.
+  void MoveRegions(std::span<const NodeId> nodes, std::size_t entries, bool carry);
+  /// Past 2 x live + 64 Ki slab entries, repacks every live region exactly.
+  void CompactIfSparse();
   /// Recomputes f_[node]; for internal nodes the prefix chain is rebuilt
   /// from child index `first_child` on (0 = full rebuild). All children must
   /// already be up to date.
@@ -326,8 +364,11 @@ class NodDpEngine {
 
   TopologyView view_;
   Requests capacity_;
-  std::vector<Table> f_;
-  std::vector<std::vector<Table>> prefixes_;
+  std::vector<Table> f_;         // per-node F tables
+  std::vector<Region> regions_;  // per-node storage
+  std::vector<std::unique_ptr<Requests[]>> slabs_;  // chunks add theirs under the mutex
+  std::mutex slabs_mutex_;  // also guards work_.storage_entries during a pass
+  std::size_t live_entries_ = 0;  // summed need of the live nodes
   std::vector<std::vector<NodeId>> all_levels_;    // every live node bucketed by depth
   std::vector<std::vector<NodeId>> dirty_levels_;  // reused dirty buckets
   std::vector<std::uint64_t> last_dirty_pass_;     // forward pass that last re-processed a node
@@ -342,11 +383,13 @@ class NodDpEngine {
   NodDpWork work_;
   std::uint64_t last_pass_nodes_ = 0;
   std::vector<PendEntry> pend_entries_;  // Backtrack arena, reused per call
-  std::vector<FragmentCache> frag_;      // per-node Backtrack fragments
+  // Per-node Backtrack fragments: only incremental passes leave nodes clean
+  // to record, so a batch solve never allocates the column.
+  std::vector<FragmentCache> frag_;
   // Sharded solve: boundary tables imported at client leaves, and the
   // fragment provider Backtrack() replays their forwarded pendings from.
   // Empty (and cost-free on every path) outside the coordinator.
-  std::unordered_map<NodeId, Table> imported_;
+  std::unordered_map<NodeId, Imported> imported_;
   ImportedFragmentFn imported_provider_;
   std::size_t frag_entries_total_ = 0;   // summed EntryCount, vs kFragEntryBudget
   std::size_t last_replica_count_ = 0;   // previous solution sizes, for reserve

@@ -131,6 +131,19 @@ TEST(Validate, DetectsSinglePolicySplit) {
   EXPECT_TRUE(ValidateSolution(inst, Policy::kMultiple, s).ok);  // fine under Multiple
 }
 
+TEST(Validate, SinglePolicySplitCountsEveryServer) {
+  // Client 2 is split over itself, n1 and the root, with the n1 share in two
+  // entries; client 3 keeps to one server.
+  const Instance inst = MakeInstance(10, kNoDistanceLimit);
+  Solution s;
+  s.replicas = {0, 1, 2};
+  s.assignment = {{2, 1, 1}, {2, 2, 2}, {3, 1, 4}, {2, 0, 2}, {2, 1, 1}, {4, 0, 5}};
+  const auto report = ValidateSolution(inst, Policy::kSingle, s);
+  EXPECT_FALSE(report.ok);
+  EXPECT_EQ(report.Describe(), "Single policy: client 2 uses 3 servers; ");
+  EXPECT_TRUE(ValidateSolution(inst, Policy::kMultiple, s).ok);
+}
+
 TEST(Validate, DetectsDuplicateReplicaAndBadIds) {
   const Instance inst = MakeInstance(10, kNoDistanceLimit);
   Solution s = GoodSolution();

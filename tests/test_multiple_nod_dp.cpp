@@ -14,6 +14,7 @@
 #include "model/validate.hpp"
 #include "multiple/multiple_nod_dp.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 #include "tree/tree_overlay.hpp"
 
 namespace rpt::multiple {
@@ -258,6 +259,111 @@ TEST(MultipleNodDpTables, MatchNaiveRequestDomainDp) {
     compared += ExpectTablesMatchNaive(engine, overlay, capacity, "ApplyTopology", seed);
   }
   EXPECT_GT(compared, 5000u);
+}
+
+// One engine driven through a long mixed stream on one overlay: demand
+// writes of both signs (regions shrink in place, grow out of place) and
+// attaches, detaches and migrations. The tree grows for the first half of
+// the stream and shrinks in the second, so the slabs fill with regions left
+// behind. A fresh engine on the same overlay holds exactly the live
+// entries: it bounds the stream engine's slabs after every batch and checks
+// its tables and solution every 50 batches.
+TEST(MultipleNodDpTables, StorageStaysBoundedOnLongStreams) {
+  constexpr Requests kCapacity = 6;
+  constexpr int kBatches = 2000;
+  // Serial: the stream's ~20,000 small levels would mostly time the pool's
+  // fork-join. Restores the width on every exit.
+  struct SerialPool {
+    std::size_t width = SolverThreads();
+    SerialPool() { SetSolverThreads(1); }
+    ~SerialPool() { SetSolverThreads(width); }
+  } serial;
+  Rng rng(4242);
+  gen::RandomTreeConfig cfg;
+  cfg.internal_nodes = 200;
+  cfg.clients = 600;
+  cfg.max_children = 4;
+  cfg.min_requests = 0;
+  cfg.max_requests = kCapacity;  // every client fits its own replica: always feasible
+  TreeOverlay overlay(gen::GenerateRandomTree(cfg, 77));
+  NodDpEngine engine(overlay, kCapacity);
+  engine.ComputeAll();
+  (void)engine.Backtrack();
+
+  const auto live_nodes = [&](bool internal_only) {
+    std::vector<NodeId> out;
+    for (const NodeId id : overlay.PostOrder()) {
+      if (!internal_only || !overlay.IsClient(id)) out.push_back(id);
+    }
+    return out;
+  };
+  for (int batch = 1; batch <= kBatches; ++batch) {
+    const bool growing = batch <= kBatches / 2;
+    std::vector<NodeId> seeds;
+    std::vector<NodeId> children_changed;
+    std::vector<NodeId> removed;
+    const std::uint64_t kind = rng.NextBelow(4);
+    if (kind == 0 && growing) {  // attach a pod of two to four clients
+      const auto internals = live_nodes(true);
+      SubtreeSpec pod;
+      pod.nodes.push_back({NodeKind::kInternal, 0, 1, 0});
+      for (std::uint64_t k = 0; k < 2 + rng.NextBelow(3); ++k) {
+        pod.nodes.push_back({NodeKind::kClient, 0, 1, rng.NextBelow(kCapacity + 1)});
+      }
+      const NodeId first = overlay.AttachSubtree(internals[rng.NextBelow(internals.size())], pod);
+      for (NodeId id = first; id < overlay.Size(); ++id) seeds.push_back(id);
+    } else if (kind == 0 || kind == 1) {  // detach or migrate; the parent keeps a child
+      std::vector<NodeId> movable;
+      for (const NodeId id : live_nodes(false)) {
+        if (id != overlay.Root() && overlay.Children(overlay.Parent(id)).size() >= 2 &&
+            overlay.SubtreeSize(id) <= 60) {
+          movable.push_back(id);
+        }
+      }
+      const NodeId victim = movable[rng.NextBelow(movable.size())];
+      const NodeId parent = overlay.Parent(victim);
+      if (kind == 0 && overlay.LiveCount() > 400) {
+        overlay.DetachSubtree(victim, &removed);
+      } else {
+        std::vector<NodeId> targets;
+        for (const NodeId id : live_nodes(true)) {
+          if (!overlay.IsAncestorOrSelf(victim, id)) targets.push_back(id);
+        }
+        const NodeId target = targets[rng.NextBelow(targets.size())];
+        overlay.MigrateSubtree(victim, target, 1);
+        seeds.push_back(target);
+        seeds.push_back(victim);
+      }
+      seeds.push_back(parent);
+      children_changed.push_back(parent);
+    }
+    if (!seeds.empty()) engine.ApplyTopology(overlay, children_changed, removed);
+    // Demand writes, up or down, in every batch.
+    const std::vector<NodeId> clients(overlay.Clients().begin(), overlay.Clients().end());
+    for (std::uint64_t k = 0; k < 1 + rng.NextBelow(6); ++k) {
+      const NodeId client = clients[rng.NextBelow(clients.size())];
+      overlay.SetRequests(client, rng.NextBelow(kCapacity + 1));
+      seeds.push_back(client);
+    }
+    engine.RecomputeDirty(seeds);
+    // Backtracking now and then records and replays solution fragments
+    // across the stream, as the incremental solver does after every batch.
+    const Solution solution = batch % 10 == 0 ? engine.Backtrack() : Solution{};
+
+    NodDpEngine fresh(overlay, kCapacity);
+    fresh.ComputeAll();
+    ASSERT_LE(engine.Work().storage_entries,
+              2 * fresh.Work().storage_entries + (std::uint64_t{1} << 16))
+        << "batch " << batch;
+    if (batch % 50 != 0) continue;
+    for (const NodeId id : overlay.PostOrder()) {
+      ASSERT_EQ(engine.TableOf(id), fresh.TableOf(id)) << "batch " << batch << " node " << id;
+    }
+    const Solution expected = fresh.Backtrack();
+    ASSERT_EQ(solution.replicas, expected.replicas) << "batch " << batch;
+    ASSERT_EQ(solution.assignment, expected.assignment) << "batch " << batch;
+  }
+  EXPECT_GE(engine.Work().compactions, 1u);
 }
 
 TEST(MultipleNodDpTables, ImportRefusesNonConvexTable) {
