@@ -35,7 +35,6 @@
 
 #include "gen/random_tree.hpp"
 #include "model/validate.hpp"
-#include "multiple/nod_dp_engine.hpp"
 #include "runner/batch_runner.hpp"
 #include "shard/boundary_table.hpp"
 #include "shard/coordinator.hpp"
@@ -216,9 +215,10 @@ int main(int argc, char** argv) {
     const WorkerRun unsharded =
         RunWorkerProcess(argv[0], whole_manifest, work_dir + "/whole.btab");
     RPT_CHECK(unsharded.btab.tables.size() == 1);
+    // The root's inverse table reaches 0 forwarded requests at its last cost.
     const auto& root_table = unsharded.btab.tables[0].table;
-    const bool unsharded_feasible = root_table[0] < multiple::NodDpEngine::kInfCost;
-    const std::uint64_t unsharded_cost = unsharded_feasible ? root_table[0] : 0;
+    const bool unsharded_feasible = root_table.back() == 0;
+    const std::uint64_t unsharded_cost = unsharded_feasible ? root_table.size() - 1 : 0;
 
     // Sharded leg: the real coordinator fanning out worker processes.
     shard::ShardOptions options;

@@ -90,13 +90,11 @@ void NodDpEngine::SetCapacity(Requests capacity) {
 }
 
 NodDpEngine::Cost NodDpEngine::CostAt(const Table& table, std::size_t u) {
-  const Requests clamped = std::min<Requests>(u, table.total);
   const Requests* first = std::partition_point(table.inv, table.inv + table.len,
-                                               [clamped](Requests v) { return v > clamped; });
+                                               [u](Requests v) { return v > u; });
   if (first == table.inv + table.len) return kInf;
-  return table.vmin + static_cast<Cost>(first - table.inv);
+  return static_cast<Cost>(first - table.inv);
 }
-
 
 // The min-plus convolution out(c) = min over c1 + c2 = c of a(c1) + b(c2).
 // Both inputs are convex, so it is the merge of their step lists, steepest
@@ -147,7 +145,7 @@ void NodDpEngine::PlaceChunk(std::span<const NodeId> nodes, bool incremental,
     std::size_t need = 1;        // |G_0| + ... + |G_c|, then + |G_k| + 1 for F
     if (view_.IsClient(node)) {
       const auto it = imported_.empty() ? imported_.end() : imported_.find(node);
-      need = it != imported_.end() ? it->second.inv.size() : view_.RequestsOf(node) > 0 ? 2 : 1;
+      need = it != imported_.end() ? it->second.size() : view_.RequestsOf(node) > 0 ? 2 : 1;
     } else {
       for (const NodeId kid : view_.Children(node)) {
         prefix_len += f_[kid].len - 1;
@@ -195,11 +193,10 @@ void NodDpEngine::ProcessNode(NodeId node, std::size_t first_child, ChunkCounter
       // table, shipped from the worker — install it verbatim.
       const auto it = imported_.find(node);
       if (it != imported_.end()) {
-        const Imported& imported = it->second;
-        table = {imported.vmin, static_cast<std::uint32_t>(imported.inv.size()), imported.total,
-                 region.base};
-        RPT_CHECK(table.total == view_.SubtreeRequests(node) && table.len <= region.cap);
-        std::copy(imported.inv.begin(), imported.inv.end(), table.inv);
+        const InverseTable& imported = it->second;
+        table = {static_cast<std::uint32_t>(imported.size()), region.base};
+        RPT_CHECK(imported[0] == view_.SubtreeRequests(node) && table.len <= region.cap);
+        std::copy(imported.begin(), imported.end(), table.inv);
         counters.entries += table.len;
         return;
       }
@@ -207,7 +204,7 @@ void NodDpEngine::ProcessNode(NodeId node, std::size_t first_child, ChunkCounter
     // No replica forwards all r at cost 0; a replica serves min(r, W)
     // locally at cost 1. A leaf without demand forwards nothing.
     const Requests r = view_.RequestsOf(node);
-    table = {0, r > 0 ? 2u : 1u, r, region.base};
+    table = {r > 0 ? 2u : 1u, region.base};
     RPT_CHECK(table.len <= region.cap);
     table.inv[0] = r;
     if (r > 0) table.inv[1] = r > capacity_ ? r - capacity_ : 0;
@@ -217,7 +214,7 @@ void NodDpEngine::ProcessNode(NodeId node, std::size_t first_child, ChunkCounter
   // Children merges along the prefix chain: G_c, the product of children
   // [0, c), is kept as stored for c <= first_child. G_0 forwards 0 at cost 0.
   const auto kids = view_.Children(node);
-  Table g{0, 1, 0, region.base};
+  Table g{1, region.base};
   if (first_child == 0) {
     g.inv[0] = 0;
     counters.entries += 1;
@@ -233,13 +230,14 @@ void NodDpEngine::ProcessNode(NodeId node, std::size_t first_child, ChunkCounter
     g = next;
   }
   // The node step F(u) = min(G(u), 1 + G(min(total, u + w))), w = min(W,
-  // total), in inverse form: cost c is spent either below (inv_G[c]) or as
-  // c - 1 below plus a replica here that absorbs w of what G forwards. F
-  // follows G_k; no sanitizer sees an overrun into the next region of a slab.
-  RPT_CHECK(g.total == view_.SubtreeRequests(node));
-  const Requests w = std::min(capacity_, g.total);
+  // total), total = inv_G[0], in inverse form: cost c is spent either below
+  // (inv_G[c]) or as c - 1 below plus a replica here that absorbs w of what
+  // G forwards. F follows G_k; no sanitizer sees an overrun into the next
+  // region of a slab.
+  RPT_CHECK(g.inv[0] == view_.SubtreeRequests(node));
+  const Requests w = std::min(capacity_, g.inv[0]);
   const std::size_t len = g.len;
-  table = {g.vmin, 0, g.total, g.inv + len};
+  table = {0, g.inv + len};
   RPT_CHECK(static_cast<std::size_t>(table.inv - region.base) + len + 1 <= region.cap);
   table.inv[0] = g.inv[0];
   for (std::size_t i = 1; i <= len; ++i) {
@@ -388,7 +386,7 @@ NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
                                                   Solution& solution) {
   const Table& table = f_[node];
   RPT_CHECK(table.len > 0);
-  u = std::min<std::size_t>(u, table.total);
+  u = std::min<std::size_t>(u, table.inv[0]);
 
   const auto empty_chain = [] { return PendChain{kPendNil, kPendNil, 0}; };
   const auto single_chain = [this](NodeId client, Requests amount) {
@@ -535,13 +533,13 @@ bool NodDpEngine::SplitBudget(NodeId node, std::size_t u, std::size_t* child_bud
   // G_k from the children's tables; walking back, each earlier prefix is
   // its successor less one child.
   const auto kids = view_.Children(node);
-  Table g{0, 1, 0, regions_[node].base};
+  Table g{1, regions_[node].base};
   for (const NodeId kid : kids) g = Extend(g, f_[kid]);
   const bool use_replica = CostAt(g, u) != cost;  // prefer the replica-free branch
   std::size_t budget = u;
   Cost target = cost;
   if (use_replica) {
-    budget = std::min<std::size_t>(g.total, u + std::min(capacity_, g.total));
+    budget = std::min<std::size_t>(g.inv[0], u + std::min(capacity_, g.inv[0]));
     RPT_CHECK(cost >= 1 && CostAt(g, budget) == cost - 1);
     target = cost - 1;
   } else {
@@ -556,12 +554,11 @@ bool NodDpEngine::SplitBudget(NodeId node, std::size_t u, std::size_t* child_bud
   for (std::size_t k = kids.size(); k-- > 0;) {
     const Table& child = f_[kids[k]];
     const std::uint32_t before_len = g.len - child.len + 1;
-    const Table before{g.vmin - child.vmin, before_len, g.total - child.total,
-                       g.inv - before_len};
+    const Table before{before_len, g.inv - before_len};
     bool found = false;
     for (std::size_t i = child.len; i-- > 0 && child.inv[i] <= v;) {
-      const Cost child_cost = child.vmin + static_cast<Cost>(i);
-      const std::size_t rest = std::min<std::size_t>(v - child.inv[i], before.total);
+      const auto child_cost = static_cast<Cost>(i);
+      const std::size_t rest = std::min<std::size_t>(v - child.inv[i], before.inv[0]);
       const Cost rest_cost = CostAt(before, rest);
       if (rest_cost < kInf && rest_cost + child_cost == target) {
         child_budget[k] = child.inv[i];
@@ -577,42 +574,20 @@ bool NodDpEngine::SplitBudget(NodeId node, std::size_t u, std::size_t* child_bud
   return use_replica;
 }
 
-NodDpEngine::CostTable NodDpEngine::TableOf(NodeId node) const {
+NodDpEngine::InverseTable NodDpEngine::TableOf(NodeId node) const {
   RPT_REQUIRE(computed_, "NodDpEngine: TableOf requires up-to-date tables");
   const Table& table = f_[CheckNode(node)];
-  CostTable out(static_cast<std::size_t>(table.total) + 1, kInf);
-  auto hi = out.end();
-  for (std::size_t i = 0; i < table.len; ++i) {
-    const auto lo = out.begin() + static_cast<std::ptrdiff_t>(table.inv[i]);
-    std::fill(lo, hi, table.vmin + static_cast<Cost>(i));
-    hi = lo;
-  }
-  return out;
+  return {table.inv, table.inv + table.len};
 }
 
-void NodDpEngine::ImportLeafTable(NodeId leaf, const CostTable& table) {
+void NodDpEngine::ImportLeafTable(NodeId leaf, InverseTable table) {
   RPT_REQUIRE(view_.IsLive(CheckNode(leaf)), "NodDpEngine: imported tables belong to live nodes");
   RPT_REQUIRE(view_.IsClient(leaf), "NodDpEngine: imported tables belong to client leaves");
-  RPT_REQUIRE(table.size() == static_cast<std::size_t>(view_.SubtreeRequests(leaf)) + 1,
-              "NodDpEngine: imported table must span the leaf demand (size = demand + 1)");
-  RPT_REQUIRE(table.back() < kInf, "NodDpEngine: imported table needs a finite entry");
-  for (std::size_t u = 1; u < table.size(); ++u) {
-    RPT_REQUIRE(table[u] <= table[u - 1], "NodDpEngine: imported table must be non-increasing");
-  }
-  // Walk the runs of equal cost from the cheapest (ending at u = demand) to
-  // the first finite entry: each run start is the next inverse entry. A run
-  // more than one cost above the previous one would repeat an entry, which
-  // no convex table does.
-  Imported converted{table.back(), table.size() - 1, {}};
-  std::size_t u = table.size() - 1;
-  for (; u > 0 && table[u - 1] < kInf; --u) {
-    if (table[u - 1] == table[u]) continue;
-    RPT_REQUIRE(table[u - 1] == table[u] + 1, "NodDpEngine: imported table must be convex");
-    converted.inv.push_back(u);
-  }
-  converted.inv.push_back(u);
-  RPT_REQUIRE(IsConvex(converted.inv), "NodDpEngine: imported table must be convex");
-  imported_[leaf] = std::move(converted);
+  RPT_REQUIRE(!table.empty() && table[0] == view_.SubtreeRequests(leaf),
+              "NodDpEngine: imported table must start at the leaf demand");
+  RPT_REQUIRE(IsConvex(table),
+              "NodDpEngine: imported table must be strictly decreasing and convex");
+  imported_[leaf] = std::move(table);
   computed_ = false;  // any previously stored leaf table is stale until the next pass
 }
 
@@ -631,7 +606,7 @@ std::vector<NodDpEngine::ImportBudget> NodDpEngine::AssignImportedBudgets() cons
     stack.pop_back();
     const Table& table = f_[node];
     RPT_CHECK(table.len > 0);
-    const std::size_t u = std::min<std::size_t>(budget, table.total);
+    const std::size_t u = std::min<std::size_t>(budget, table.inv[0]);
     if (view_.IsClient(node)) {
       if (imported_.contains(node)) out.push_back(ImportBudget{node, u});
       continue;

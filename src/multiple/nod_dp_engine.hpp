@@ -6,7 +6,8 @@
 // = min replicas in subtree(j) forwarding at most u requests above j) and
 // the per-internal-node prefix tables G_0..G_k used by backtracking. Every
 // table is stored in the cost domain, as its inverse staircase: inv[i] is
-// the fewest requests forwarded at cost <= vmin + i. Because W is uniform,
+// the fewest requests forwarded at cost <= i, so inv[0] is the demand the
+// table covers (forwarding all of it costs nothing). Because W is uniform,
 // every table is convex (its steps inv[i-1] - inv[i] never grow with i),
 // which makes the DP linear in table length:
 //  * a table has at most one entry per node it covers, plus one, whatever
@@ -15,14 +16,16 @@
 //    of the two step lists, O(|a| + |b|);
 //  * the node step (a replica here absorbs up to W) is one pass over G;
 //  * reconstruction reads F_j(u) by binary search.
-// Storage: tables are views into engine-owned slabs. A node's region holds
-// a leaf's F, or an internal node's prefix chain G_0..G_k then F (reserved
-// at |G_k| + 1); prefix metadata follows from the children's F tables. Each
-// parallel chunk of a level reserves its nodes' regions before merging: a
-// region is rewritten in place when the new tables fit, else moved to the
-// chunk's new slab, exact in a full pass and with 1/8 slack in an
-// incremental one. Past 2 x live + 64 Ki slab entries every live region is
-// compacted, so a long-lived engine stays bounded.
+// Storage: a table is a (len, inv*) view into engine-owned slabs. A node's
+// region holds a leaf's F, or an internal node's prefix chain G_0..G_k then
+// F (reserved at |G_k| + 1); prefix lengths follow from the children's F
+// tables. Each parallel chunk of a level reserves its nodes' regions before
+// merging: a region is rewritten in place when the new tables fit, else
+// moved to the chunk's new slab, exact in a full pass and with 1/8 slack in
+// an incremental one. Past 2 x live + 64 Ki slab entries every live region
+// is compacted, so a long-lived engine stays bounded. The same inverse form
+// crosses the engine's boundary: TableOf copies an F table out, and
+// ImportLeafTable takes one in, as an InverseTable.
 // Demand is not engine state: every pass reads RequestsOf/SubtreeRequests
 // from the view it runs over. Two forward passes share every kernel:
 //
@@ -114,11 +117,12 @@ struct NodDpWork {
 class NodDpEngine {
  public:
   using Cost = std::uint32_t;
-  /// A table in the request domain: entry u is F(u) for u = 0..demand.
-  /// Only the engine's boundary (TableOf, ImportLeafTable) uses this form.
-  using CostTable = std::vector<Cost>;
+  /// An F table as it leaves or enters the engine: entry i is the fewest
+  /// requests the subtree forwards with i replicas, and entry 0 is its
+  /// demand. Entries strictly decrease, in steps that never grow.
+  using InverseTable = std::vector<Requests>;
 
-  /// Sentinel for "no feasible entry" in a cost table.
+  /// Sentinel cost: no placement forwards that little.
   static constexpr Cost kInfCost = std::numeric_limits<Cost>::max() / 2;
 
   /// Demands are the view's client request column, read on every pass.
@@ -164,10 +168,10 @@ class NodDpEngine {
   /// (F_root(0) finite). Requires up-to-date tables.
   [[nodiscard]] bool Feasible() const;
 
-  /// The F table of `node`, materialized in the request domain (size =
-  /// subtree demand + 1; kInfCost where no placement forwards that little).
-  /// Exposed for the sharded solve's boundary-table export and for tests.
-  [[nodiscard]] CostTable TableOf(NodeId node) const;
+  /// The F table of `node` (at most one entry per node of its subtree, plus
+  /// one). Exposed for the sharded solve's boundary-table export and for
+  /// tests.
+  [[nodiscard]] InverseTable TableOf(NodeId node) const;
 
   /// Reconstructs an optimal placement + routing from the tables; requires
   /// Feasible(). The returned solution is canonicalized and identical to
@@ -198,12 +202,12 @@ class NodDpEngine {
 
   /// Installs the boundary table of the cut subtree behind `leaf` (a client
   /// leaf whose requests equal the subtree's demand). The table must be the
-  /// subtree root's F table as TableOf returns it: size = demand + 1,
-  /// monotone non-increasing, finite at full forwarding, and convex (no
-  /// subtree produces anything else; InvalidArgument otherwise). Forward
-  /// passes install it instead of the standard client table; tables become
-  /// stale until the next ComputeAll().
-  void ImportLeafTable(NodeId leaf, const CostTable& table);
+  /// subtree root's F table as TableOf returns it: entry 0 equal to the
+  /// leaf's demand, strictly decreasing and convex (no subtree produces
+  /// anything else; InvalidArgument otherwise). Forward passes install it
+  /// instead of the standard client table; tables become stale until the
+  /// next ComputeAll().
+  void ImportLeafTable(NodeId leaf, InverseTable table);
 
   /// Budget assigned to one imported leaf by the downward budget sweep.
   struct ImportBudget {
@@ -253,14 +257,12 @@ class NodDpEngine {
 
  private:
   // One DP table in the cost domain, viewed in a slab: inv[i], i < len, is
-  // the fewest requests forwarded at cost <= vmin + i, strictly decreasing
-  // and convex; `total` is the largest forwarded amount the table spans
-  // (the subtree demand for F, the children's running sum for a prefix).
-  // Below inv[len - 1] no placement exists (cost kInfCost).
+  // the fewest requests forwarded at cost <= i, strictly decreasing and
+  // convex. inv[0] is the demand the table spans (the subtree's for F, the
+  // children's running sum for a prefix). Below inv[len - 1] no placement
+  // exists (cost kInfCost).
   struct Table {
-    Cost vmin = 0;
     std::uint32_t len = 0;
-    Requests total = 0;
     Requests* inv = nullptr;
   };
   // A node's slab storage: `cap` entries at `base`; its tables need `need`.
@@ -268,12 +270,6 @@ class NodDpEngine {
     Requests* base = nullptr;
     std::size_t cap = 0;
     std::size_t need = 0;
-  };
-  // A boundary table imported at a client leaf, copied into its region.
-  struct Imported {
-    Cost vmin = 0;
-    Requests total = 0;
-    std::vector<Requests> inv;
   };
   struct ChunkCounters {
     std::uint64_t entries = 0;
@@ -286,12 +282,12 @@ class NodDpEngine {
     return id;
   }
 
-  /// F(u): the table's cost at forwarded budget min(u, total), kInfCost
-  /// when no placement forwards that little.
+  /// F(u): the table's cost at forwarded budget u, kInfCost when no
+  /// placement forwards that little.
   static Cost CostAt(const Table& table, std::size_t u);
-  /// Metadata of the prefix after `p` once child table `c` is merged in.
+  /// Length and place of the prefix after `p` once child table `c` is merged in.
   static Table Extend(const Table& p, const Table& c) {
-    return {p.vmin + c.vmin, p.len + c.len - 1, p.total + c.total, p.inv + p.len};
+    return {p.len + c.len - 1, p.inv + p.len};
   }
   /// Writes out = a (+) b, the min-plus convolution of convex tables; out = Extend(a, b).
   static void MergeSteps(const Table& a, const Table& b, const Table& out);
@@ -389,7 +385,7 @@ class NodDpEngine {
   // Sharded solve: boundary tables imported at client leaves, and the
   // fragment provider Backtrack() replays their forwarded pendings from.
   // Empty (and cost-free on every path) outside the coordinator.
-  std::unordered_map<NodeId, Imported> imported_;
+  std::unordered_map<NodeId, InverseTable> imported_;
   ImportedFragmentFn imported_provider_;
   std::size_t frag_entries_total_ = 0;   // summed EntryCount, vs kFragEntryBudget
   std::size_t last_replica_count_ = 0;   // previous solution sizes, for reserve

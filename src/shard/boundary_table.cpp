@@ -10,10 +10,6 @@ namespace rpt::shard {
 
 namespace {
 
-using Cost = multiple::NodDpEngine::Cost;
-using CostTable = multiple::NodDpEngine::CostTable;
-constexpr Cost kInf = multiple::NodDpEngine::kInfCost;
-
 constexpr std::size_t kMagicBytes = sizeof(kBtabMagic);
 constexpr std::uint8_t kKindTable = 1;
 constexpr std::uint8_t kKindFragment = 2;
@@ -29,25 +25,8 @@ using Reader = wire::Reader<InvalidArgument>;
 }
 
 std::string EncodeTablePayload(const BoundaryTable& table) {
-  RPT_REQUIRE(table.table.size() == table.demand + 1,
-              "rpt-btab: table size must be demand + 1");
-  RPT_REQUIRE(table.table.back() < kInf, "rpt-btab: table needs a finite entry");
-  // Cost-domain compression: inv[c - vmin] is the smallest u with
-  // table[u] <= c, for every cost c in [vmin, vmax].
-  std::size_t f = 0;
-  while (table.table[f] >= kInf) ++f;
-  const Cost vmax = table.table[f];
-  const Cost vmin = table.table.back();
-  std::vector<std::uint32_t> inv(static_cast<std::size_t>(vmax - vmin) + 1,
-                                 static_cast<std::uint32_t>(f));
-  Cost cur = vmax;
-  for (std::size_t u = f + 1; u < table.table.size(); ++u) {
-    while (cur > table.table[u]) {
-      --cur;
-      inv[cur - vmin] = static_cast<std::uint32_t>(u);
-    }
-  }
-
+  RPT_REQUIRE(!table.table.empty(), "rpt-btab: table needs an entry");
+  RPT_REQUIRE(table.demand <= kMaxBtabDemand, "rpt-btab: table demand exceeds the sanity cap");
   std::string payload;
   wire::PutU8(payload, kKindTable);
   wire::PutU32(payload, table.cut);
@@ -55,9 +34,12 @@ std::string EncodeTablePayload(const BoundaryTable& table) {
   wire::PutU32(payload, table.subtree_nodes);
   wire::PutU64(payload, table.table_entries);
   wire::PutU64(payload, table.convolve_cells);
-  wire::PutU32(payload, vmin);
-  wire::PutU32(payload, vmax);
-  for (const std::uint32_t v : inv) wire::PutU32(payload, v);
+  wire::PutU32(payload, 0);  // vmin: forwarding the whole demand costs nothing
+  wire::PutU32(payload, static_cast<std::uint32_t>(table.table.size() - 1));  // vmax
+  for (const Requests v : table.table) {
+    RPT_REQUIRE(v <= table.demand, "rpt-btab: table entry exceeds the demand");
+    wire::PutU32(payload, static_cast<std::uint32_t>(v));
+  }
   return payload;
 }
 
@@ -69,30 +51,16 @@ void DecodeTablePayload(Reader& cur, BtabFile& file) {
   table.subtree_nodes = cur.U32();
   table.table_entries = cur.U64();
   table.convolve_cells = cur.U64();
-  const auto vmin = static_cast<Cost>(cur.U32());
-  const auto vmax = static_cast<Cost>(cur.U32());
-  if (vmin > vmax || vmax >= kInf) Fail("table cost range is invalid");
-  cur.CheckCount(static_cast<std::uint64_t>(vmax - vmin) + 1, 4);  // inv[] is u32s
-  std::vector<std::uint32_t> inv(static_cast<std::size_t>(vmax - vmin) + 1);
-  for (auto& v : inv) {
-    v = cur.U32();
-    if (v > table.demand) Fail("table staircase index exceeds the demand domain");
-  }
-  for (std::size_t c = 1; c < inv.size(); ++c) {
-    if (inv[c] > inv[c - 1]) Fail("table staircase is not monotone");
+  if (cur.U32() != 0) Fail("table cost range does not start at 0");  // vmin
+  const std::uint32_t vmax = cur.U32();
+  cur.CheckCount(std::uint64_t{vmax} + 1, 4);  // inv[] is u32s
+  table.table.resize(std::size_t{vmax} + 1);
+  for (std::size_t c = 0; c < table.table.size(); ++c) {
+    table.table[c] = cur.U32();
+    if (table.table[c] > table.demand) Fail("table entry exceeds the demand");
+    if (c > 0 && table.table[c] > table.table[c - 1]) Fail("table staircase is not monotone");
   }
   if (!cur.Exhausted()) Fail("table payload overruns its fields");
-
-  // Materialize — the mirror of NodDpEngine::TableOf, so the round trip is
-  // exact entry for entry.
-  table.table.assign(static_cast<std::size_t>(table.demand) + 1, kInf);
-  std::size_t hi = table.table.size();
-  for (Cost c = vmin; c <= vmax && hi > 0; ++c) {
-    const std::size_t u = inv[c - vmin];
-    for (std::size_t k = u; k < hi; ++k) table.table[k] = c;
-    hi = std::min(hi, static_cast<std::size_t>(u));
-  }
-  if (table.table.back() != vmin) Fail("table staircase does not reach its minimum");
   file.tables.push_back(std::move(table));
 }
 

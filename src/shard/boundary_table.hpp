@@ -16,12 +16,14 @@
 // so the decoder can cross-check the walk: it must consume exactly
 // record_count records and exactly body_bytes bytes and land exactly on EOF.
 //
-// A TABLE payload stores the staircase *compressed* in the cost domain:
-// (vmin, vmax, inv[]) with inv[c - vmin] = smallest u such that F(u) <= c —
-// the inverse form the DP stores its tables in. Reconstruction
-// is exact (the staircase is monotone with integer costs), so the table the
-// coordinator imports is byte-identical to the table the worker computed,
-// while the wire size is O(cost range), not O(demand).
+// A TABLE payload stores the staircase in the cost domain, as the DP engine
+// holds it: (vmin, vmax, inv[]) with inv[c] the fewest requests the cut
+// subtree forwards at cost <= c. Forwarding the whole demand costs nothing,
+// so vmin is always 0 and inv[] is the engine's InverseTable entry for
+// entry: the worker ships what TableOf returns and the coordinator hands
+// the decoded vector to ImportLeafTable, with no conversion either way. The
+// wire size is O(cost range) — at most one entry per subtree node, plus
+// one — and never O(demand).
 //
 // Corruption contract ("prefix or loud, never wrong", same as the WAL
 // corpus): DecodeBtab THROWS InvalidArgument on any damaged input — short
@@ -53,20 +55,20 @@ inline constexpr char kBtabMagic[8] = {'R', 'P', 'T', 'B', 'T', 'A', 'B', '1'};
 /// shard stays well below; anything larger is a corrupt length field).
 inline constexpr std::uint32_t kMaxBtabRecordBytes = 1u << 28;
 
-/// Sanity cap on a shipped table's demand domain (entries materialized =
-/// demand + 1; the cap keeps a corrupt-but-CRC-lucky demand field from
-/// asking the decoder for an absurd allocation).
+/// Cap on a shipped table's demand. Every entry is at most the demand and
+/// travels as a u32, so the cap keeps entries exact; nothing is sized by
+/// demand.
 inline constexpr std::uint64_t kMaxBtabDemand = std::uint64_t{1} << 31;
 
 /// Phase-1 export: one cut subtree's boundary table.
 struct BoundaryTable {
   NodeId cut = kInvalidNode;   ///< cut subtree root, MEGATREE (global) id
-  std::uint64_t demand = 0;    ///< subtree demand; table has demand + 1 entries
+  std::uint64_t demand = 0;    ///< subtree demand, at most kMaxBtabDemand
   std::uint32_t subtree_nodes = 0;  ///< nodes in the cut subtree
   // Worker-side work counters, aggregated by the coordinator.
   std::uint64_t table_entries = 0;
   std::uint64_t convolve_cells = 0;
-  multiple::NodDpEngine::CostTable table;  ///< materialized staircase, size demand + 1
+  multiple::NodDpEngine::InverseTable table;  ///< the cut root's F table, as TableOf returns it
 };
 
 /// Phase-2 export: one cut subtree's reconstructed solution at `budget`.

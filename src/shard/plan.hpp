@@ -13,9 +13,12 @@
 // reads, no DP work — and fully deterministic: candidate refinement always
 // splits the heaviest candidate (ties to the lowest node id), and shard
 // assignment is largest-first into the lightest shard (ties to the lowest
-// shard index). The weight proxy is subtree_requests + subtree_size, which
-// tracks the DP's table footprint (every table is bounded by its subtree
-// demand + 1 entries, and there is one table per node).
+// shard index). The weight proxy is subtree_requests + subtree_size. The
+// DP's table footprint follows the size term alone: a cost-domain table
+// holds at most its subtree's nodes + 1 entries, whatever the demand, and
+// each node keeps one F table plus its prefix chain. The demand term dates
+// from request-domain tables of demand + 1 entries; it stays because a new
+// proxy moves every cut, which wants its own measured change.
 #pragma once
 
 #include <cstdint>

@@ -142,8 +142,20 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MultipleNodDpAgreement,
 // The engine's cost-domain tables against the textbook request-domain DP.
 // ---------------------------------------------------------------------------
 
-using CostTable = NodDpEngine::CostTable;
+using CostTable = std::vector<NodDpEngine::Cost>;  // entry u: F(u), u = 0..demand
 constexpr NodDpEngine::Cost kInf = NodDpEngine::kInfCost;
+
+// An engine table in the request domain: F(u) is the least i with inv[i] <= u.
+CostTable Expand(const NodDpEngine::InverseTable& inv) {
+  CostTable out(static_cast<std::size_t>(inv[0]) + 1, kInf);
+  auto hi = out.end();
+  for (std::size_t i = 0; i < inv.size(); ++i) {
+    const auto lo = out.begin() + static_cast<std::ptrdiff_t>(inv[i]);
+    std::fill(lo, hi, static_cast<NodDpEngine::Cost>(i));
+    hi = lo;
+  }
+  return out;
+}
 
 // Client leaf: forward all r at cost 0, or serve min(r, W) at cost 1.
 CostTable NaiveLeaf(Requests r, Requests capacity) {
@@ -191,7 +203,7 @@ std::size_t ExpectTablesMatchNaive(const NodDpEngine& engine, const TreeOverlay&
       for (const NodeId child : overlay.Children(id)) g = NaiveConvolve(g, naive[child]);
       naive[id] = NaiveNodeStep(g, capacity);
     }
-    EXPECT_EQ(engine.TableOf(id), naive[id]) << stage << " seed=" << seed << " node=" << id;
+    EXPECT_EQ(Expand(engine.TableOf(id)), naive[id]) << stage << " seed=" << seed << " node=" << id;
     ++compared;
   }
   return compared;
@@ -367,23 +379,24 @@ TEST(MultipleNodDpTables, StorageStaysBoundedOnLongStreams) {
 }
 
 TEST(MultipleNodDpTables, ImportRefusesNonConvexTable) {
-  // A demand-4 boundary leaf: {3, 3, 1, 1, 0} is non-increasing and finite
-  // at full forwarding, but its inverse {4, 2, 2, 0} is not convex, so no
-  // subtree can have produced it.
+  // A demand-4 boundary leaf. No subtree produces a table that repeats an
+  // entry, whose steps grow, or whose entry 0 is not the demand (forwarding
+  // less than all of it takes a replica).
   TreeBuilder b;
   const NodeId root = b.AddRoot();
   const NodeId leaf = b.AddClient(root, 1, 4);
   b.AddClient(root, 1, 2);
   const Tree tree = b.Build();
   NodDpEngine engine(tree, 3);
-  EXPECT_THROW(engine.ImportLeafTable(leaf, {3, 3, 1, 1, 0}), InvalidArgument);
-  EXPECT_THROW(engine.ImportLeafTable(leaf, {2, 2, 0, 0, 0}), InvalidArgument);  // skips cost 1
-  EXPECT_THROW(engine.ImportLeafTable(leaf, {2, 2, 2, 1, 0}), InvalidArgument);  // steps 1, then 3
+  EXPECT_THROW(engine.ImportLeafTable(leaf, {4, 2, 2, 0}), InvalidArgument);
+  EXPECT_THROW(engine.ImportLeafTable(leaf, {2, 2, 0}), InvalidArgument);  // skips cost 1
+  EXPECT_THROW(engine.ImportLeafTable(leaf, {4, 3, 0}), InvalidArgument);  // steps 1, then 3
+  EXPECT_THROW(engine.ImportLeafTable(leaf, {3, 1, 0}), InvalidArgument);  // convex, but 3 != 4
   // The table a subtree of two demand-2 clients under one node does produce
   // (W = 3) installs and solves.
-  engine.ImportLeafTable(leaf, {2, 1, 1, 1, 0});
+  engine.ImportLeafTable(leaf, {4, 1, 0});
   engine.ComputeAll();
-  EXPECT_EQ(engine.TableOf(leaf), (CostTable{2, 1, 1, 1, 0}));
+  EXPECT_EQ(engine.TableOf(leaf), (NodDpEngine::InverseTable{4, 1, 0}));
   EXPECT_TRUE(engine.Feasible());
 }
 

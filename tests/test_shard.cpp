@@ -143,18 +143,17 @@ BtabFile SampleBtab() {
   plain.subtree_nodes = 9;
   plain.table_entries = 41;
   plain.convolve_cells = 120;
-  plain.table = {3, 3, 2, 2, 1, 1, 0};
+  plain.table = {6, 4, 2, 0};
   file.tables.push_back(plain);
 
-  BoundaryTable leading_inf;  // locally infeasible at small u: leading +inf
-  leading_inf.cut = 23;
-  leading_inf.demand = 6;
-  leading_inf.subtree_nodes = 4;
-  leading_inf.table_entries = 7;
-  leading_inf.convolve_cells = 9;
-  leading_inf.table = {multiple::NodDpEngine::kInfCost, multiple::NodDpEngine::kInfCost,
-                       2, 1, 1, 0, 0};
-  file.tables.push_back(leading_inf);
+  BoundaryTable floored;  // no placement forwards under 2: its last entry is above 0
+  floored.cut = 23;
+  floored.demand = 6;
+  floored.subtree_nodes = 4;
+  floored.table_entries = 7;
+  floored.convolve_cells = 9;
+  floored.table = {5, 3, 2};
+  file.tables.push_back(floored);
 
   SolutionFragment fragment;
   fragment.cut = 17;

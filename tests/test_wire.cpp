@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -181,18 +182,17 @@ shard::BtabFile GoldenBtab() {
   plain.subtree_nodes = 9;
   plain.table_entries = 41;
   plain.convolve_cells = 120;
-  plain.table = {3, 3, 2, 2, 1, 1, 0};
+  plain.table = {6, 4, 2, 0};
   file.tables.push_back(plain);
 
-  shard::BoundaryTable leading_inf;
-  leading_inf.cut = 23;
-  leading_inf.demand = 6;
-  leading_inf.subtree_nodes = 4;
-  leading_inf.table_entries = 7;
-  leading_inf.convolve_cells = 9;
-  leading_inf.table = {multiple::NodDpEngine::kInfCost, multiple::NodDpEngine::kInfCost,
-                       2, 1, 1, 0, 0};
-  file.tables.push_back(leading_inf);
+  shard::BoundaryTable floored;
+  floored.cut = 23;
+  floored.demand = 6;
+  floored.subtree_nodes = 4;
+  floored.table_entries = 7;
+  floored.convolve_cells = 9;
+  floored.table = {5, 3, 2};
+  file.tables.push_back(floored);
 
   shard::SolutionFragment fragment;
   fragment.cut = 17;
@@ -628,17 +628,49 @@ TEST(WireCraftedCount, BtabForwardedCountThrowsInvalidArgument) {
   EXPECT_THROW((void)shard::DecodeBtab(BtabWithRecord(record)), InvalidArgument);
 }
 
-TEST(WireCraftedCount, BtabTableCostRangeThrowsInvalidArgument) {
+/// A TABLE record: demand, cost range and inv entries as given.
+std::string TableRecord(std::uint64_t demand, std::uint32_t vmin, std::uint32_t vmax,
+                        std::initializer_list<std::uint32_t> inv) {
   std::string record;
   wire::PutU8(record, 1);    // TABLE
   wire::PutU32(record, 17);  // cut
-  wire::PutU64(record, 6);   // demand
-  wire::PutU32(record, 9);   // subtree nodes
-  wire::PutU64(record, 0);   // table entries
-  wire::PutU64(record, 0);   // convolve cells
-  wire::PutU32(record, 0);   // vmin
-  wire::PutU32(record, (1u << 26) - 2);  // vmax: 2^26 - 1 inv entries, none present
-  EXPECT_THROW((void)shard::DecodeBtab(BtabWithRecord(record)), InvalidArgument);
+  wire::PutU64(record, demand);
+  wire::PutU32(record, 9);  // subtree nodes
+  wire::PutU64(record, 0);  // table entries
+  wire::PutU64(record, 0);  // convolve cells
+  wire::PutU32(record, vmin);
+  wire::PutU32(record, vmax);
+  for (const std::uint32_t v : inv) wire::PutU32(record, v);
+  return record;
+}
+
+TEST(WireCraftedCount, BtabTableCostRangeThrowsInvalidArgument) {
+  // vmax: 2^26 - 1 inv entries, none present.
+  EXPECT_THROW((void)shard::DecodeBtab(BtabWithRecord(TableRecord(6, 0, (1u << 26) - 2, {}))),
+               InvalidArgument);
+}
+
+// A table's demand sizes nothing: the one-entry record at the cap decodes
+// into one entry, not demand + 1 (8 GiB of them).
+TEST(WireCraftedCount, BtabTableAtDemandCapDecodesOneEntry) {
+  const auto cap = static_cast<std::uint32_t>(shard::kMaxBtabDemand);
+  const shard::BtabFile file = shard::DecodeBtab(BtabWithRecord(TableRecord(cap, 0, 0, {cap})));
+  ASSERT_EQ(file.tables.size(), 1u);
+  EXPECT_EQ(file.tables[0].table, multiple::NodDpEngine::InverseTable{cap});
+  // Forwarding the whole demand costs nothing, so a cost range starts at 0.
+  EXPECT_THROW((void)shard::DecodeBtab(BtabWithRecord(TableRecord(cap, 1, 0, {cap}))),
+               InvalidArgument);
+}
+
+TEST(WireCraftedCount, BtabEncoderRefusesDemandAboveCapOrEntryAboveDemand) {
+  shard::BtabFile file;
+  file.tables.resize(1);
+  file.tables[0].demand = shard::kMaxBtabDemand + 1;
+  file.tables[0].table = {shard::kMaxBtabDemand + 1, 0};
+  EXPECT_THROW((void)shard::EncodeBtab(file), InvalidArgument);
+  file.tables[0].demand = 6;
+  file.tables[0].table = {7, 0};  // above the demand
+  EXPECT_THROW((void)shard::EncodeBtab(file), InvalidArgument);
 }
 
 }  // namespace
