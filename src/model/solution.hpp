@@ -36,8 +36,12 @@ struct Solution {
     return total;
   }
 
-  /// Sorts replicas and assignment into a canonical order (for comparisons
-  /// and golden tests).
+  /// Puts the solution in the canonical form every golden and hash pins:
+  /// replicas ascending without repeats; the assignment ordered by (client,
+  /// server), equal keys summed, zero sums dropped. A canonical input comes
+  /// back unchanged. Linear: a counting pass over the ids, then a sort per
+  /// id bucket (O(k log k) for one client split over k servers). Scratch,
+  /// local to the call: a copy of the n entries and at most 2n + 2^16 offsets.
   void Canonicalize();
 };
 
@@ -54,7 +58,8 @@ struct LoadSummary {
   double utilization = 0.0; ///< total / (replica count * W)
 };
 
-/// Computes server load statistics for a (valid) solution.
+/// Computes server load statistics for a (valid) solution in O(tree +
+/// solution); throws InvalidArgument on a replica or server id off the tree.
 [[nodiscard]] LoadSummary SummarizeLoads(const Tree& tree, Requests capacity,
                                          const Solution& solution);
 

@@ -451,6 +451,14 @@ ShardedSolveResult SolveSharded(const Instance& instance, const ShardOptions& op
     combined.assignment.insert(combined.assignment.end(), mapped.assignment.begin(),
                                mapped.assignment.end());
   }
+  // The splice's inputs are spent: free them before Canonicalize allocates
+  // its scratch, so the solve peaks no higher than the splice did.
+  std::exchange(slices, {});
+  std::exchange(hot, {});
+  std::exchange(solve_results, {});
+  std::exchange(extract_results, {});
+  std::exchange(fragments, {});
+  std::exchange(forwarded_by_leaf, {});
   combined.Canonicalize();
   result.solution = std::move(combined);
   result.feasible = true;

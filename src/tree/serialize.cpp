@@ -1,5 +1,6 @@
 #include "tree/serialize.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <ostream>
 #include <sstream>
@@ -38,6 +39,11 @@ bool NextLine(std::istream& is, std::string& line) {
   return false;
 }
 
+// The most nodes a decoder reserves before it reads them: a count line alone
+// may claim 2^32 - 2, so the columns grow as lines arrive, and a count that
+// no lines back throws "truncated" having sized nothing by it.
+constexpr std::uint64_t kMaxUpfrontReserve = std::uint64_t{1} << 16;
+
 std::uint64_t ParseU64(std::string_view token, const char* what) {
   std::uint64_t value = 0;
   const auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
@@ -60,9 +66,10 @@ Tree ReadTree(std::istream& is) {
   RPT_REQUIRE(NextLine(is, line), "ReadTree: missing node count");
   const std::uint64_t n = ParseU64(line, "node count");
   RPT_REQUIRE(n >= 1, "ReadTree: node count must be >= 1");
+  RPT_REQUIRE(n < kInvalidNode, "ReadTree: too many nodes");
 
   TreeBuilder builder;
-  builder.Reserve(n);
+  builder.Reserve(std::min(n, kMaxUpfrontReserve));
   for (std::uint64_t expected = 0; expected < n; ++expected) {
     RPT_REQUIRE(NextLine(is, line), "ReadTree: truncated node list");
     std::istringstream row(line);
@@ -145,14 +152,20 @@ TreeOverlay ReadOverlay(std::istream& is) {
   RPT_REQUIRE(n >= 1, "ReadOverlay: slot count must be >= 1");
   RPT_REQUIRE(n < kInvalidNode, "ReadOverlay: too many slots");
 
-  std::vector<NodeKind> kind(n, NodeKind::kInternal);
-  std::vector<NodeId> parent(n, kInvalidNode);
-  std::vector<Distance> delta(n, 0);
-  std::vector<Requests> requests(n, 0);
-  std::vector<std::uint8_t> alive(n, 0);
-  std::vector<std::uint32_t> child_rank(n, 0);
+  std::vector<NodeKind> kind;
+  std::vector<NodeId> parent;
+  std::vector<Distance> delta;
+  std::vector<Requests> requests;
+  std::vector<std::uint8_t> alive;
+  std::vector<std::uint32_t> child_rank;
   for (std::uint64_t expected = 0; expected < n; ++expected) {
     RPT_REQUIRE(NextLine(is, line), "ReadOverlay: truncated slot list");
+    kind.push_back(NodeKind::kInternal);
+    parent.push_back(kInvalidNode);
+    delta.push_back(0);
+    requests.push_back(0);
+    alive.push_back(0);
+    child_rank.push_back(0);
     std::istringstream row(line);
     std::string id_tok, alive_tok, parent_tok, delta_tok, kind_tok, req_tok, rank_tok;
     row >> id_tok >> alive_tok >> parent_tok >> delta_tok >> kind_tok >> req_tok >> rank_tok;

@@ -19,6 +19,10 @@
 // memory. `child_rank` is the node's position in its parent's child list
 // (live non-root nodes only; '-'/root lines carry 0) — child order is
 // load-bearing after migrations, when it is no longer ascending-id.
+//
+// Both readers size their columns by the lines they read, not by the count
+// line: a count below 2^32 - 1 that no lines back throws InvalidArgument
+// ("truncated") having reserved at most 2^16 nodes.
 #pragma once
 
 #include <iosfwd>

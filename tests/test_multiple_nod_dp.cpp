@@ -14,7 +14,6 @@
 #include "model/validate.hpp"
 #include "multiple/multiple_nod_dp.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 #include "tree/tree_overlay.hpp"
 
 namespace rpt::multiple {
@@ -283,13 +282,6 @@ TEST(MultipleNodDpTables, MatchNaiveRequestDomainDp) {
 TEST(MultipleNodDpTables, StorageStaysBoundedOnLongStreams) {
   constexpr Requests kCapacity = 6;
   constexpr int kBatches = 2000;
-  // Serial: the stream's ~20,000 small levels would mostly time the pool's
-  // fork-join. Restores the width on every exit.
-  struct SerialPool {
-    std::size_t width = SolverThreads();
-    SerialPool() { SetSolverThreads(1); }
-    ~SerialPool() { SetSolverThreads(width); }
-  } serial;
   Rng rng(4242);
   gen::RandomTreeConfig cfg;
   cfg.internal_nodes = 200;

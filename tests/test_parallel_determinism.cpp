@@ -16,7 +16,9 @@
 #include "model/instance.hpp"
 #include "model/solution.hpp"
 #include "multiple/multiple_nod_dp.hpp"
+#include "multiple/nod_dp_engine.hpp"
 #include "support/thread_pool.hpp"
+#include "tree/tree_overlay.hpp"
 
 namespace rpt {
 namespace {
@@ -105,17 +107,24 @@ TEST(ParallelTreeBuild, ByteIdenticalToSerialAcrossThreadCounts) {
   }
 }
 
+// The DP's level sweep hands the pool only levels wider than its grain (512
+// nodes); narrower ones run on the caller. These 20,000-node trees have 9-10
+// levels wider than that (up to ~3,500 nodes), so widths 2 and 7 split them
+// across workers.
+Tree BuildWideDpTree(std::uint64_t seed) {
+  gen::RandomTreeConfig cfg;
+  cfg.internal_nodes = 4000;
+  cfg.clients = 16000;
+  cfg.max_children = 5;
+  cfg.min_requests = 1;
+  cfg.max_requests = 9;
+  return gen::GenerateRandomTree(cfg, seed);
+}
+
 TEST(ParallelMultipleNodDp, ByteIdenticalToSerialAcrossThreadCounts) {
   for (const std::uint64_t seed : {1ull, 2ull}) {
-    gen::RandomTreeConfig cfg;
-    cfg.internal_nodes = 400;
-    cfg.clients = 1600;
-    cfg.max_children = 5;
-    cfg.min_requests = 1;
-    cfg.max_requests = 9;
     SetSolverThreads(1);
-    const Instance instance(gen::GenerateRandomTree(cfg, seed), /*capacity=*/30,
-                            kNoDistanceLimit);
+    const Instance instance(BuildWideDpTree(seed), /*capacity=*/30, kNoDistanceLimit);
     const auto serial = multiple::SolveMultipleNodDp(instance);
     ASSERT_TRUE(serial.feasible);
     const std::uint64_t serial_hash = CanonicalSolutionHash(serial.solution);
@@ -130,6 +139,75 @@ TEST(ParallelMultipleNodDp, ByteIdenticalToSerialAcrossThreadCounts) {
       EXPECT_EQ(parallel.stats.table_entries, serial.stats.table_entries);
       EXPECT_EQ(parallel.stats.convolve_cells, serial.stats.convolve_cells);
     }
+  }
+}
+
+// Every F table and work counter after a pass, to compare across widths.
+struct PassResult {
+  std::vector<multiple::NodDpEngine::InverseTable> tables;
+  multiple::NodDpWork work;
+};
+
+PassResult Collect(const multiple::NodDpEngine& engine, std::size_t nodes) {
+  PassResult out{{}, engine.Work()};
+  for (NodeId id = 0; id < nodes; ++id) out.tables.push_back(engine.TableOf(id));
+  return out;
+}
+
+void ExpectSamePass(const PassResult& serial, const PassResult& parallel) {
+  EXPECT_TRUE(parallel.tables == serial.tables);
+  EXPECT_EQ(parallel.work.table_entries, serial.work.table_entries);
+  EXPECT_EQ(parallel.work.convolve_cells, serial.work.convolve_cells);
+  EXPECT_EQ(parallel.work.nodes_processed, serial.work.nodes_processed);
+  EXPECT_EQ(parallel.work.storage_entries, serial.work.storage_entries);
+}
+
+TEST(ParallelMultipleNodDp, IncrementalPassMatchesSerialAcrossThreadCounts) {
+  // A batch that rewrites every third client's demand dirties 8 levels
+  // wider than the sweep's grain, so the prefix-chain restarts and the
+  // region moves of the incremental pass run on pool workers.
+  const Tree tree = BuildWideDpTree(3);
+  const auto pass = [&tree](std::size_t threads) {
+    SolverThreadsGuard guard(threads);
+    TreeOverlay overlay(tree);
+    multiple::NodDpEngine engine(overlay, /*capacity=*/30);
+    engine.ComputeAll();
+    std::vector<NodeId> touched;
+    for (std::size_t k = 0; k < tree.Clients().size(); k += 3) {
+      const NodeId client = tree.Clients()[k];
+      overlay.SetRequests(client, 1 + (tree.RequestsOf(client) + 4) % 9);
+      touched.push_back(client);
+    }
+    engine.RecomputeDirty(touched);
+    return Collect(engine, tree.Size());
+  };
+  const PassResult serial = pass(1);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ExpectSamePass(serial, pass(threads));
+  }
+}
+
+TEST(ParallelMultipleNodDp, ImportedLeafTablesMatchSerialAcrossThreadCounts) {
+  // Every client imports its own table, as a shard worker would ship it, so
+  // pool workers copy imported tables into the shared per-level slabs.
+  const Tree tree = BuildWideDpTree(4);
+  multiple::NodDpEngine reference(tree, /*capacity=*/30);
+  reference.ComputeAll();
+  const auto pass = [&](std::size_t threads) {
+    SolverThreadsGuard guard(threads);
+    multiple::NodDpEngine engine(tree, /*capacity=*/30);
+    for (const NodeId client : tree.Clients()) {
+      engine.ImportLeafTable(client, reference.TableOf(client));
+    }
+    engine.ComputeAll();
+    return Collect(engine, tree.Size());
+  };
+  const PassResult serial = pass(1);
+  EXPECT_TRUE(serial.tables == Collect(reference, tree.Size()).tables);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ExpectSamePass(serial, pass(threads));
   }
 }
 

@@ -13,6 +13,7 @@
 // refuses to guess when asked to start fresh over existing state.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -28,6 +29,7 @@
 #include "serve/event_wal.hpp"
 #include "serve/serve_harness.hpp"
 #include "sim/crash_restart.hpp"
+#include "support/crc32.hpp"
 #include "support/failpoint.hpp"
 
 namespace rpt::serve {
@@ -439,6 +441,53 @@ TEST(CrashRecovery, RecoveryRefusesEmptyTailGapButAllowsFallbackOverFullWal) {
     EXPECT_EQ(HashOf(*recovered), HashOf(oracle));
     EXPECT_EQ(VersionOf(*recovered), VersionOf(oracle));
   }
+}
+
+TEST(CrashRecovery, CraftedSlotCountFallsBackToOlderCheckpoint) {
+  // The newest checkpoint is rewritten, CRC and all, to advertise 2^26 slots
+  // and hold none. The loader must refuse it without sizing anything by that
+  // count (six columns of that many slots take 1.6 GiB), and recovery falls
+  // back to the seq-2 checkpoint over the full WAL.
+  const Instance instance = MakeInstance(12);
+  const auto apply4 = [](ServeHarness& harness) {
+    for (int i = 0; i < 4; ++i) {
+      harness.ApplyAndPublish(
+          std::vector<UpdateEvent>{UpdateEvent::DemandDelta(31 + i, 1)});
+    }
+  };
+  const TempDir dir;
+  DurabilityOptions options = Durable(dir.path, /*every=*/2);
+  options.trim_on_checkpoint = false;
+  {
+    ServeHarness harness(instance, {}, options);
+    apply4(harness);
+  }
+  const std::string newest = CheckpointPath(dir.path, 4);
+  std::string text;
+  {
+    std::ifstream in(newest);
+    std::string line;
+    for (int i = 0; i < 2 && std::getline(in, line); ++i) text += line + "\n";  // magic, seq
+  }
+  ASSERT_EQ(text.rfind("rpt-ckpt v1\nseq 4 ", 0), 0u) << text;
+  text += "rpt-overlay v1\n67108864\n";
+  char crc_line[16];
+  std::snprintf(crc_line, sizeof(crc_line), "crc %08x\n", support::Crc32(text));
+  std::ofstream(newest, std::ios::trunc) << text << crc_line;
+
+  const auto peak_kib = [] {
+    rusage usage{};
+    ::getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+  };
+  const long peak_before = peak_kib();
+  auto recovered = ServeHarness::RecoverFrom(instance, {}, options);
+  EXPECT_LT(peak_kib() - peak_before, 64 * 1024) << "KiB of peak RSS";
+  EXPECT_EQ(recovered->RecoveredBatches(), 2u);  // batches 3 and 4, past seq 2
+  ServeHarness oracle(instance);
+  apply4(oracle);
+  EXPECT_EQ(HashOf(*recovered), HashOf(oracle));
+  EXPECT_EQ(VersionOf(*recovered), VersionOf(oracle));
 }
 
 }  // namespace

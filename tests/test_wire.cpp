@@ -31,6 +31,7 @@
 #include "shard/boundary_table.hpp"
 #include "support/crc32.hpp"
 #include "support/wire.hpp"
+#include "tree/serialize.hpp"
 #include "tree/tree.hpp"
 #include "tree/tree_overlay.hpp"
 
@@ -660,6 +661,17 @@ TEST(WireCraftedCount, BtabTableAtDemandCapDecodesOneEntry) {
   // Forwarding the whole demand costs nothing, so a cost range starts at 0.
   EXPECT_THROW((void)shard::DecodeBtab(BtabWithRecord(TableRecord(cap, 1, 0, {cap}))),
                InvalidArgument);
+}
+
+// The text readers grow their columns as lines arrive, so a count line that
+// no lines back throws InvalidArgument instead of sizing columns by it.
+TEST(WireCraftedCount, OverlaySlotCountThrowsInvalidArgument) {
+  EXPECT_THROW((void)OverlayFromString("rpt-overlay v1\n4294967294\n"), InvalidArgument);
+}
+
+TEST(WireCraftedCount, TreeNodeCountThrowsInvalidArgument) {
+  EXPECT_THROW((void)TreeFromString("rpt-tree v1\n1099511627776\n"), InvalidArgument);
+  EXPECT_THROW((void)TreeFromString("rpt-tree v1\n4294967294\n"), InvalidArgument);
 }
 
 TEST(WireCraftedCount, BtabEncoderRefusesDemandAboveCapOrEntryAboveDemand) {
